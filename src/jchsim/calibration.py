@@ -176,7 +176,8 @@ def fit_chain_from_spectrum(
             objective,
             x0,
             method="Nelder-Mead",
-            options={"xatol": 1e-11, "fatol": 1e-22, "maxiter": 2000},
+            # fatol stays above the objective's noise floor, or starts run to maxiter
+            options={"xatol": 1e-11, "fatol": 1e-18, "maxiter": 2000},
         )
         if best is None or res.fun < best.fun:
             best = res

@@ -29,6 +29,7 @@ from .ion_chain import (
     equilibrium_positions,
 )
 from .propagator import EvolutionRequest, evolve
+from .textio import write_text_atomic as _atomic_write
 
 
 class ConfigError(ValueError):
@@ -427,10 +428,3 @@ def read_rabi_csv(path):
             positions.append(microns(float(row["position_um"])))
             rabis.append(khz(float(row["rabi_kHz"])))
     return positions, rabis
-
-
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)

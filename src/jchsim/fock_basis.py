@@ -1,19 +1,23 @@
 """Fixed-total-excitation Hilbert sector for N spins with local bosons.
 
-A basis state is a spin bitmask (bit i set = ion i+1 up) plus a phonon
-occupation per ion; the sector keeps exactly the states whose spin-up
-count plus total phonon number equals M.  States are packed into a
-single integer -- occupation bytes for ions 1..N from the least
-significant byte up, then the spin mask above them -- and ordered by
-spin mask ascending, then phonon occupations in colexicographic order
-(equivalently: numeric order of the packed encoding).
+The sector keeps exactly the states whose spin-up count plus total
+phonon number equals M.  SectorBasis stores it as two (D, N) arrays,
+spin-up flags and phonon occupations, ordered by spin mask ascending
+(bit i set = ion i+1 up), then occupations in colexicographic order;
+its indices() ranks array rows in closed form, so no other module needs
+the ordering.  BasisState and the packed integer of pack_state
+(occupation bytes for ions 1..N from the low byte up, spin mask above)
+are only the interchange format, whose numeric order is the sector order.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
+
+from .textio import write_text_atomic
 
 DEFAULT_DIMENSION_CAP = 300_000
 
@@ -99,89 +103,106 @@ def unpack_state(packed, n_ions):
 class SectorBasis:
     """Immutable enumeration of a fixed-excitation sector.
 
-    states are stored as packed integers; index lookup is a dict on the
-    packed encoding.  Observable helper arrays (spin signs, phonon
-    totals) are built lazily and cached.
+    spins[j, i] is True when ion i+1 is up in state j, and
+    occupations[j, i] is its phonon number; both arrays are read-only.
     """
 
-    def __init__(self, n_ions, excitations, packed_states):
+    def __init__(self, n_ions, excitations, spins, occupations):
         self.n_ions = n_ions
         self.excitations = excitations
-        self._packed = packed_states
-        self._index = {p: j for j, p in enumerate(packed_states)}
-        self._spin_signs = None
-        self._phonon_totals = None
+        self.spins = spins
+        self.occupations = occupations
+        spins.flags.writeable = False
+        occupations.flags.writeable = False
+        n, m = n_ions, excitations
+        # Counts for indices(), each at most D: _placements[r, j] is the
+        # number of ways to put r phonons on j ions.
+        self._placements = np.array(
+            [[comb(r + j - 1, j - 1) if j else 0 for j in range(n + 1)]
+             for r in range(m + 1)],
+            dtype=np.int64,
+        )
+        # _before[i, k]: states whose mask has k ups above bit i, bit i
+        # clear and any bits below, i.e. those preceding a mask with bit i
+        # set among masks that share its bits above i.
+        block = [int(c) for c in self._placements[:, n]]
+        self._before = np.array(
+            [[sum(comb(i, u) * block[m - k - u] for u in range(min(i, m - k) + 1))
+              for k in range(m + 1)]
+             for i in range(n)],
+            dtype=np.int64,
+        )
 
     def __len__(self):
-        return len(self._packed)
+        return len(self.occupations)
 
     @property
     def dimension(self):
-        return len(self._packed)
+        return len(self.occupations)
 
     @property
     def packed_states(self):
-        return self._packed
+        """Packed integer of every state, in sector order (built on demand)."""
+        states = map(self.state_at, range(len(self)))
+        return [pack_state(s.spins, s.phonons) for s in states]
 
     def state_at(self, j):
-        return unpack_state(self._packed[j], self.n_ions)
+        spins = sum(1 << i for i, up in enumerate(self.spins[j]) if up)
+        return BasisState(spins=spins, phonons=self.occupations[j].tolist())
+
+    def indices(self, spins, occupations):
+        """Positions of in-sector states given as (K, N) spin and occupation rows.
+
+        The rank is the number of states in the blocks of smaller spin
+        masks plus the colex rank of the occupations within the block.
+        Rows must lie in the sector; index_of checks outside input first.
+        """
+        spins = np.asarray(spins, dtype=bool)
+        occupations = np.asarray(occupations)
+        index = np.zeros(len(spins), dtype=np.int64)
+        ups = np.zeros(len(spins), dtype=np.int64)
+        for i in range(self.n_ions - 1, -1, -1):
+            index += spins[:, i] * self._before[i, ups]
+            ups += spins[:, i]
+        # Colex rank: from ion N down, count the compositions of the phonons
+        # still left whose last part is smaller than this ion's occupation.
+        left = self.excitations - ups
+        for j in range(self.n_ions, 1, -1):
+            occ = occupations[:, j - 1]
+            index += self._placements[left, j] - self._placements[left - occ, j]
+            left -= occ
+        return index
 
     def index_of(self, state):
-        if isinstance(state, BasisState):
-            if state.n_ions != self.n_ions:
-                raise SectorMismatchError(
-                    f"state has {state.n_ions} ions, basis has {self.n_ions}"
-                )
-            packed = pack_state(state.spins, state.phonons)
-        else:
-            packed = state
-        try:
-            return self._index[packed]
-        except KeyError:
+        """Position of a BasisState (or its packed integer) in the sector."""
+        if not isinstance(state, BasisState):
+            state = unpack_state(state, self.n_ions)
+        if state.n_ions != self.n_ions:
+            raise SectorMismatchError(
+                f"state has {state.n_ions} ions, basis has {self.n_ions}"
+            )
+        if state.spins >> self.n_ions or state.excitations() != self.excitations:
             raise SectorMismatchError(
                 f"state not in the (N={self.n_ions}, M={self.excitations}) sector"
-            ) from None
-
-    def index_of_packed(self, packed):
-        return self._index[packed]
+            )
+        spins = [(state.spins >> i) & 1 for i in range(self.n_ions)]
+        return int(self.indices([spins], [state.phonons])[0])
 
     def spin_signs(self):
         """(D, N) array of +/-1 spin eigenvalues per state and ion."""
-        if self._spin_signs is None:
-            n = self.n_ions
-            signs = np.empty((len(self._packed), n), dtype=np.int8)
-            for j, p in enumerate(self._packed):
-                mask = p >> (8 * n)
-                for i in range(n):
-                    signs[j, i] = 1 if (mask >> i) & 1 else -1
-            self._spin_signs = signs
-        return self._spin_signs
+        return np.where(self.spins, np.int8(1), np.int8(-1))
 
     def phonon_totals(self):
         """(D,) array of total phonon number per state."""
-        if self._phonon_totals is None:
-            n = self.n_ions
-            tot = np.empty(len(self._packed), dtype=np.int32)
-            for j, p in enumerate(self._packed):
-                tot[j] = sum((p >> (8 * i)) & 0xFF for i in range(n))
-            self._phonon_totals = tot
-        return self._phonon_totals
+        return self.occupations.sum(axis=1)
 
     def to_csv(self, path):
         """Debug dump: index, spin string (ion 1 first), occupations."""
         lines = ["index,spins,phonons"]
-        n = self.n_ions
-        for j, p in enumerate(self._packed):
-            mask = p >> (8 * n)
-            spin_str = "".join("u" if (mask >> i) & 1 else "d" for i in range(n))
-            occ = " ".join(str((p >> (8 * i)) & 0xFF) for i in range(n))
-            lines.append(f"{j},{spin_str},{occ}")
-        tmp = f"{path}.tmp"
-        import os
-
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        for j, (ups, occ) in enumerate(zip(self.spins, self.occupations)):
+            spin_str = "".join("u" if up else "d" for up in ups)
+            lines.append(f"{j},{spin_str},{' '.join(map(str, occ))}")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP):
@@ -199,25 +220,19 @@ def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP):
     n, m = n_ions, excitations
     # Masks with popcount <= M, generated per spin-up count so that large
     # N with small M stays cheap, then sorted into ascending order.
-    from itertools import combinations
-
-    masks = []
-    for k in range(min(n, m) + 1):
-        for ups in combinations(range(n), k):
-            mask = 0
-            for i in ups:
-                mask |= 1 << i
-            masks.append(mask)
-    masks.sort()
-
-    packed = []
-    for mask in masks:
-        k = bin(mask).count("1")
-        base = mask << (8 * n)
-        for occ in _compositions_colex(m - k, n):
-            p = base
-            for i, o in enumerate(occ):
-                p |= o << (8 * i)
-            packed.append(p)
-    assert len(packed) == dim
-    return SectorBasis(n_ions, excitations, packed)
+    masks = sorted(
+        sum(1 << i for i in ups)
+        for k in range(min(n, m) + 1)
+        for ups in combinations(range(n), k)
+    )
+    mask_spins = np.array(
+        [[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=bool
+    )
+    # Each mask with k ups owns a block of the colex compositions of M - k.
+    tables = [np.array(_compositions_colex(m - k, n), dtype=np.int16)
+              for k in range(min(n, m) + 1)]
+    blocks = [tables[k] for k in mask_spins.sum(axis=1)]
+    spins = np.repeat(mask_spins, [len(b) for b in blocks], axis=0)
+    occupations = np.concatenate(blocks)
+    assert len(occupations) == dim
+    return SectorBasis(n_ions, excitations, spins, occupations)

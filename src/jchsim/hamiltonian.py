@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .textio import write_text_atomic
+
 
 @dataclass(frozen=True)
 class JchParameters:
@@ -67,14 +69,9 @@ class SparseHamiltonian:
 
     def to_coordinate_text(self, path):
         """Dump nonzeros as 'row col value' lines (0-based) for cross-checks."""
-        import os
-
         coo = self.matrix.tocoo()
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
-        os.replace(tmp, path)
+        lines = (f"{r} {c} {v:.17g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
+        write_text_atomic(path, "".join(lines))
 
 
 def build_hamiltonian(params, basis):
@@ -85,7 +82,8 @@ def build_hamiltonian(params, basis):
           element g_i sqrt(n_i + 1)
       phonon hop j -> i for i < j with n_j >= 1:
           element t_ij sqrt((n_i + 1) n_j)
-    Each undirected pair is generated once and symmetrized at the end.
+    Each undirected pair is generated once, one vectorized block per ion
+    or hopping pair, and symmetrized at the end.
     """
     n = params.n_ions
     if n != basis.n_ions:
@@ -93,45 +91,40 @@ def build_hamiltonian(params, basis):
             f"parameters are for {n} ions but basis has {basis.n_ions}"
         )
     dim = basis.dimension
-    packed_states = basis.packed_states
-    index = basis.index_of_packed
-
+    spins, occ = basis.spins, basis.occupations
     delta = params.detunings
     omega = params.local_frequencies
     g = params.couplings
     t = params.hoppings
 
-    spin_bit = [1 << (8 * n + i) for i in range(n)]
-    occ_unit = [1 << (8 * i) for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if t[i, j] != 0.0]
+    # Summed ion by ion, in ion order, so the rounding of each element does
+    # not depend on the BLAS in use.
+    signs = basis.spin_signs()
+    diag = np.zeros(dim)
+    for i in range(n):
+        diag += 0.5 * delta[i] * signs[:, i] + omega[i] * occ[:, i]
 
-    diag = np.empty(dim)
     rows, cols, vals = [], [], []
+    for i in range(n):
+        col = np.flatnonzero(spins[:, i])
+        down = spins[col]
+        down[:, i] = False
+        emitted = occ[col]
+        emitted[:, i] += 1
+        rows.append(basis.indices(down, emitted))
+        cols.append(col)
+        vals.append(g[i] * np.sqrt(occ[col, i] + 1.0))
 
-    for col, p in enumerate(packed_states):
-        mask = p >> (8 * n)
-        ns = [(p >> (8 * i)) & 0xFF for i in range(n)]
+    for i, j in zip(*np.nonzero(np.triu(t, 1))):
+        col = np.flatnonzero(occ[:, j])
+        hopped = occ[col]
+        hopped[:, i] += 1
+        hopped[:, j] -= 1
+        rows.append(basis.indices(spins[col], hopped))
+        cols.append(col)
+        vals.append(t[i, j] * np.sqrt((occ[col, i] + 1.0) * occ[col, j]))
 
-        d = 0.0
-        for i in range(n):
-            s = 1.0 if (mask >> i) & 1 else -1.0
-            d += 0.5 * delta[i] * s + omega[i] * ns[i]
-        diag[col] = d
-
-        for i in range(n):
-            if (mask >> i) & 1:
-                partner = p - spin_bit[i] + occ_unit[i]
-                rows.append(index(partner))
-                cols.append(col)
-                vals.append(g[i] * np.sqrt(ns[i] + 1.0))
-
-        for i, j in pairs:
-            if ns[j]:
-                partner = p + occ_unit[i] - occ_unit[j]
-                rows.append(index(partner))
-                cols.append(col)
-                vals.append(t[i, j] * np.sqrt((ns[i] + 1.0) * ns[j]))
-
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     off = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
     h = (off + off.T + sp.diags(diag)).tocsr()
     h.sum_duplicates()
@@ -155,5 +148,4 @@ def excitation_expectation(basis, v, norm_tol=1e-8):
     if abs(nrm - 1.0) > norm_tol:
         raise ValueError(f"state norm {nrm} deviates from 1 beyond {norm_tol}")
     probs = np.abs(v) ** 2
-    ups = (basis.spin_signs().astype(np.int64).sum(axis=1) + basis.n_ions) // 2
-    return float(probs @ (ups + basis.phonon_totals()))
+    return float(probs @ (basis.spins.sum(axis=1) + basis.phonon_totals()))

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .constants import COULOMB_CONSTANT, YB171_MASS
+from .textio import write_text_atomic
 
 
 class EquilibriumError(RuntimeError):
@@ -295,7 +296,7 @@ def modes_to_csv(modes, path):
             f"{i + 1},{to_khz(modes.local_frequencies[i]):.17g},"
             f"{to_khz(modes.corrected_local[i]):.17g}"
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def hopping_to_csv(modes, path, corrected=True):
@@ -306,13 +307,4 @@ def hopping_to_csv(modes, path, corrected=True):
     lines = []
     for row in t:
         lines.append(",".join(f"{to_khz(v):.17g}" for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _atomic_write(path, text):
-    import os
-
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_text_atomic(path, "\n".join(lines) + "\n")

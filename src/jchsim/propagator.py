@@ -13,7 +13,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .constants import to_microseconds
+from .fock_basis import BasisState
 from .hamiltonian import excitation_expectation, sigma_z_expectation
+from .textio import write_text_atomic
 
 DENSE_ORACLE_CAP = 2000
 
@@ -65,8 +67,6 @@ class TimeSeries:
 
     def to_csv(self, path):
         """CSV: time_us, sz_ion1..N, norm_drift, excitation_drift."""
-        import os
-
         n = self.sigma_z.shape[1]
         header = (
             "time_us,"
@@ -80,10 +80,7 @@ class TimeSeries:
             cells.append(f"{self.norm_drift[k]:.17g}")
             cells.append(f"{self.excitation_drift[k]:.17g}")
             lines.append(",".join(cells))
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def prepare_initial_state(basis, excited_ions):
@@ -97,12 +94,9 @@ def prepare_initial_state(basis, excited_ions):
         raise ValueError(
             f"{len(ions)} excited ions but the sector has M={basis.excitations}"
         )
-    mask = 0
-    for i in ions:
-        mask |= 1 << (i - 1)
-    packed = mask << (8 * basis.n_ions)
+    state = BasisState(sum(1 << (i - 1) for i in ions), [0] * basis.n_ions)
     v = np.zeros(basis.dimension, dtype=complex)
-    v[basis.index_of_packed(packed)] = 1.0
+    v[basis.index_of(state)] = 1.0
     return v
 
 
@@ -133,7 +127,8 @@ def _lanczos_step(matvec, v, dt, err_budget, m_max):
         w -= alphas[k] * V[k]
         # Full reorthogonalization keeps the subspace orthonormal so the
         # propagated norm stays at machine precision.
-        w -= V[: k + 1].T @ (np.conj(V[: k + 1]) @ w)
+        # conj(V @ conj(w)) equals conj(V) @ w without copying V.
+        w -= V[: k + 1].T @ np.conj(V[: k + 1] @ np.conj(w))
         beta = np.linalg.norm(w)
 
         happy = beta < 1e-13 * max(1.0, abs(alphas[: k + 1]).max())
@@ -228,39 +223,39 @@ def evolve(h, req, basis):
             )
         evals, evecs = np.linalg.eigh(h.dense())
         coeffs = evecs.conj().T @ v0
-        states = [
-            evecs @ (np.exp(-1j * evals * t) * coeffs) for t in times
-        ]
-    else:
-        states = [v0.copy()]
-        v = v0
-        for k in range(1, req.samples):
+
+    # Observables are taken as each sample is produced, so only the
+    # current state is held unless the caller asked for all of them.
+    m = basis.excitations
+    sz = np.empty((req.samples, basis.n_ions))
+    norm_drift = np.empty(req.samples)
+    exc_drift = np.empty(req.samples)
+    kept = []
+    v = v0
+    for k, t in enumerate(times):
+        if req.method == "dense-oracle":
+            v = evecs @ (np.exp(-1j * evals * t) * coeffs)
+        elif k > 0:
             v = propagate_krylov(
                 h,
                 v,
-                times[k] - times[k - 1],
+                t - times[k - 1],
                 req.krylov_tol,
                 req.max_krylov_dim,
                 time_scale=req.total_time,
             )
-            states.append(v)
-
-    n = basis.n_ions
-    m = basis.excitations
-    sz = np.empty((req.samples, n))
-    norm_drift = np.empty(req.samples)
-    exc_drift = np.empty(req.samples)
-    for k, v in enumerate(states):
         nrm = np.linalg.norm(v)
         norm_drift[k] = abs(nrm - 1.0)
         u = v / nrm
         sz[k] = sigma_z_expectation(basis, u)
         exc_drift[k] = abs(excitation_expectation(basis, u) - m)
+        if req.store_states:
+            kept.append(v)
 
     return TimeSeries(
         times=times,
         sigma_z=sz,
         norm_drift=norm_drift,
         excitation_drift=exc_drift,
-        states=np.array(states) if req.store_states else None,
+        states=np.array(kept) if req.store_states else None,
     )

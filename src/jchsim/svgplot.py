@@ -1,6 +1,6 @@
 """Minimal SVG 1.1 line plots, no plotting dependency."""
 
-import os
+from .textio import write_text_atomic
 
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -81,7 +81,4 @@ def write_timeseries_svg(series, path, title="per-ion <sigma_z>"):
             )
     parts.append("</svg>")
 
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, "\n".join(parts) + "\n")

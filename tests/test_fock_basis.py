@@ -1,6 +1,7 @@
 import hashlib
 from itertools import product
 
+import numpy as np
 import pytest
 
 from jchsim.fock_basis import (
@@ -111,10 +112,16 @@ class TestIndexing:
         basis = enumerate_sector(3, 2)
         assert basis.index_of(basis.state_at(0)) == 0
 
-    def test_bijection_4_3(self):
-        basis = enumerate_sector(4, 3)
+    @pytest.mark.parametrize("n,m", [(1, 0), (2, 3), (4, 3), (6, 4), (20, 3), (32, 2)])
+    def test_bijection(self, n, m):
+        # (32, 2) packs into more than 64 bits.
+        basis = enumerate_sector(n, m)
+        ranks = basis.indices(basis.spins, basis.occupations)
+        assert np.array_equal(ranks, np.arange(len(basis)))
         for j in range(len(basis)):
-            assert basis.index_of(basis.state_at(j)) == j
+            state = basis.state_at(j)
+            assert basis.index_of(state) == j
+            assert basis.index_of(pack_state(state.spins, state.phonons)) == j
 
     def test_out_of_sector_state_rejected(self):
         basis = enumerate_sector(3, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jchsim.constants import khz
-from jchsim.fock_basis import enumerate_sector
+from jchsim.fock_basis import BasisState, enumerate_sector
 from jchsim.hamiltonian import (
     JchParameters,
     build_hamiltonian,
@@ -93,6 +93,46 @@ class TestBuildHamiltonian:
                 energy += 0.5 * params.detunings[i] * s
                 energy += params.local_frequencies[i] * state.phonons[i]
             assert dense[j, j] == pytest.approx(energy, abs=1e-6)
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (6, 3), (32, 1)])
+    def test_matches_per_state_assembly(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        t = rng.standard_normal((n, n)) * khz(1)
+        t = t + t.T
+        np.fill_diagonal(t, 0.0)
+        t[0, -1] = t[-1, 0] = 0.0
+        params = JchParameters(
+            detunings=rng.standard_normal(n) * khz(10),
+            local_frequencies=rng.standard_normal(n) * khz(10),
+            couplings=rng.standard_normal(n) * khz(5),
+            hoppings=t,
+        )
+        basis = enumerate_sector(n, m)
+        expected = np.zeros((len(basis), len(basis)))
+        for col in range(len(basis)):
+            state = basis.state_at(col)
+            occ = list(state.phonons)
+            for i in range(n):
+                up = (state.spins >> i) & 1
+                expected[col, col] += params.detunings[i] * (up - 0.5)
+                expected[col, col] += params.local_frequencies[i] * occ[i]
+                if up:
+                    emitted = occ.copy()
+                    emitted[i] += 1
+                    row = basis.index_of(BasisState(state.spins - (1 << i), emitted))
+                    value = params.couplings[i] * np.sqrt(occ[i] + 1)
+                    expected[row, col] = expected[col, row] = value
+                for j in range(n):
+                    if j != i and occ[j] and t[i, j] != 0.0:
+                        hopped = occ.copy()
+                        hopped[i] += 1
+                        hopped[j] -= 1
+                        row = basis.index_of(BasisState(state.spins, hopped))
+                        expected[row, col] = t[i, j] * np.sqrt((occ[i] + 1) * occ[j])
+        dense = build_hamiltonian(params, basis).dense()
+        assert np.array_equal(dense != 0.0, expected != 0.0)
+        scale = np.abs(expected).max()
+        assert np.abs(dense - expected).max() <= 1e-14 * scale
 
     def test_dimension_mismatch(self):
         basis = enumerate_sector(3, 1)
