@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config/parse error, 3 infeasible physics,
 
 import argparse
 import math
-import os
 import sys
 
 from .calibration import (

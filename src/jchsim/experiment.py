@@ -10,9 +10,7 @@ directory.  All files are written atomically (temp + rename).
 
 import math
 import os
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from . import calibration, svgplot
 from .constants import khz, mhz, microns, microseconds, to_khz, to_mhz, to_microns
@@ -207,11 +205,9 @@ class ResolvedModel:
     dimension: int
 
 
-def resolve_model(cfg, seed=0, delta_khz=None):
+def resolve_model(cfg, seed=0):
     """Resolve geometry, modes and per-ion parameters for one run."""
     from .ion_chain import ModeData  # noqa: F401  (type only)
-
-    delta_khz = cfg.delta_khz if delta_khz is None else delta_khz
 
     if cfg.geometry_source == "spacings":
         geometry = ChainGeometry.from_spacings(
@@ -259,6 +255,26 @@ def resolve_model(cfg, seed=0, delta_khz=None):
         raise InfeasibleError(str(exc)) from exc
     shifted = interaction_picture_shift(modes, wx)
 
+    chain = ResolvedModel(
+        config=cfg,
+        geometry=geometry,
+        transverse_frequency=wx,
+        modes_absolute=modes,
+        modes_shifted=shifted,
+        site=None,
+        params=None,
+        dimension=sector_dimension(cfg.n_ions, cfg.excitations),
+    )
+    return with_detuning(chain, cfg.delta_khz)
+
+
+def with_detuning(model, delta_khz):
+    """The model with per-ion parameters re-derived at a central detuning.
+
+    Geometry and modes do not depend on the detuning, so a scan resolves
+    them once and calls this per detuning.
+    """
+    cfg = model.config
     profile = calibration.LaserProfile(
         peak_rabi=1.0,
         waist=math.inf if cfg.waist_um <= 0 else microns(cfg.waist_um),
@@ -266,25 +282,16 @@ def resolve_model(cfg, seed=0, delta_khz=None):
         beam_center=microns(cfg.beam_center_um),
     )
     site = calibration.derive_site_parameters(
-        profile, geometry, g_central=khz(cfg.g_khz), delta_central=khz(delta_khz)
+        profile, model.geometry, g_central=khz(cfg.g_khz),
+        delta_central=khz(delta_khz),
     )
     params = JchParameters(
         detunings=site.detunings,
-        local_frequencies=shifted.corrected_local,
+        local_frequencies=model.modes_shifted.corrected_local,
         couplings=site.couplings,
-        hoppings=shifted.corrected_hopping,
+        hoppings=model.modes_shifted.corrected_hopping,
     )
-    dim = sector_dimension(cfg.n_ions, cfg.excitations)
-    return ResolvedModel(
-        config=cfg,
-        geometry=geometry,
-        transverse_frequency=wx,
-        modes_absolute=modes,
-        modes_shifted=shifted,
-        site=site,
-        params=params,
-        dimension=dim,
-    )
+    return replace(model, site=site, params=params)
 
 
 def run_model(model):
@@ -370,9 +377,10 @@ def _run_scan(cfg, out, threads=1, seed=0):
     """One sub-run per scan detuning plus a combined heat-map CSV."""
     scan_ion = cfg.scan_ion or (cfg.n_ions + 1) // 2
     deltas = list(cfg.delta_scan_khz)
+    chain = resolve_model(cfg, seed=seed)
 
     def one(delta_khz):
-        model = resolve_model(cfg, seed=seed, delta_khz=delta_khz)
+        model = with_detuning(chain, delta_khz)
         _, series = run_model(model)
         sub = os.path.join(out, f"delta_{delta_khz:g}kHz")
         os.makedirs(sub, exist_ok=True)

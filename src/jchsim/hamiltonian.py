@@ -8,7 +8,7 @@ built on a fixed-excitation SectorBasis.  In that basis every matrix
 element is real, so the matrix is stored as a real symmetric CSR.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,21 +131,29 @@ def build_hamiltonian(params, basis):
     return SparseHamiltonian(h, params, basis)
 
 
-def sigma_z_expectation(basis, v, norm_tol=1e-8):
-    """Per-ion <sigma_z> for a normalized sector vector."""
+def spin_sign_matrix(basis):
+    """(D, N) float +/-1 per state and ion: <sigma_z> = |v|^2 @ this."""
+    return basis.spin_signs().astype(float)
+
+
+def excitation_totals(basis):
+    """(D,) spin-up count plus phonon number: <exc> = |v|^2 @ this."""
+    return basis.spins.sum(axis=1) + basis.phonon_totals()
+
+
+def _probabilities(v, norm_tol):
     v = np.asarray(v)
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > norm_tol:
         raise ValueError(f"state norm {nrm} deviates from 1 beyond {norm_tol}")
-    probs = np.abs(v) ** 2
-    return probs @ basis.spin_signs().astype(float)
+    return np.abs(v) ** 2
+
+
+def sigma_z_expectation(basis, v, norm_tol=1e-8):
+    """Per-ion <sigma_z> for a normalized sector vector."""
+    return _probabilities(v, norm_tol) @ spin_sign_matrix(basis)
 
 
 def excitation_expectation(basis, v, norm_tol=1e-8):
     """<total excitations> = spin-up count plus phonon number."""
-    v = np.asarray(v)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"state norm {nrm} deviates from 1 beyond {norm_tol}")
-    probs = np.abs(v) ** 2
-    return float(probs @ (basis.spins.sum(axis=1) + basis.phonon_totals()))
+    return float(_probabilities(v, norm_tol) @ excitation_totals(basis))

@@ -7,7 +7,7 @@ their second-order corrected values (tilde), and the collective mode
 spectrum.  Everything here is a pure function of its inputs.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jchsim.constants import khz, mhz
 from jchsim.fock_basis import enumerate_sector
@@ -13,6 +14,8 @@ from jchsim.ion_chain import (
 )
 from jchsim.propagator import (
     EvolutionRequest,
+    _lanczos_step,
+    _tridiag_expm_col,
     average_sigma_z,
     evolve,
     prepare_initial_state,
@@ -40,6 +43,23 @@ def fig2a_model():
         hoppings=modes.corrected_hopping,
     )
     basis = enumerate_sector(2, 2)
+    return basis, build_hamiltonian(params, basis)
+
+
+def band_edge_model():
+    """Four ions, four excitations, detuned to the phonon band edge."""
+    geo = ChainGeometry.from_spacings([6.602e-6, 6.104e-6, 6.602e-6])
+    wx = anchor_transverse_frequency(geo, mhz(2.744))
+    modes = interaction_picture_shift(
+        mode_parameters(TrapParameters(wx, khz(100)), geo), wx
+    )
+    params = JchParameters(
+        detunings=np.full(4, khz(-15.0)),
+        local_frequencies=modes.corrected_local,
+        couplings=np.full(4, khz(12.9)),
+        hoppings=modes.corrected_hopping,
+    )
+    basis = enumerate_sector(4, 4)
     return basis, build_hamiltonian(params, basis)
 
 
@@ -138,19 +158,7 @@ class TestEvolve:
 
     def test_conservation_suite(self):
         # four ions, every spin initially excited, band-edge detuning
-        geo = ChainGeometry.from_spacings([6.602e-6, 6.104e-6, 6.602e-6])
-        wx = anchor_transverse_frequency(geo, mhz(2.744))
-        modes = interaction_picture_shift(
-            mode_parameters(TrapParameters(wx, khz(100)), geo), wx
-        )
-        params = JchParameters(
-            detunings=np.full(4, khz(-15.0)),
-            local_frequencies=modes.corrected_local,
-            couplings=np.full(4, khz(12.9)),
-            hoppings=modes.corrected_hopping,
-        )
-        basis = enumerate_sector(4, 4)
-        h = build_hamiltonian(params, basis)
+        basis, h = band_edge_model()
         req = EvolutionRequest(
             total_time=1e-3, samples=51, excited_ions=[1, 2, 3, 4],
             store_states=True,
@@ -184,19 +192,7 @@ class TestEvolve:
         assert np.max(np.abs(fine.sigma_z[::2] - coarse.sigma_z)) < 1e-9
 
     def test_norm_drift_two_ms(self):
-        geo = ChainGeometry.from_spacings([6.602e-6, 6.104e-6, 6.602e-6])
-        wx = anchor_transverse_frequency(geo, mhz(2.744))
-        modes = interaction_picture_shift(
-            mode_parameters(TrapParameters(wx, khz(100)), geo), wx
-        )
-        params = JchParameters(
-            detunings=np.full(4, khz(-15.0)),
-            local_frequencies=modes.corrected_local,
-            couplings=np.full(4, khz(12.9)),
-            hoppings=modes.corrected_hopping,
-        )
-        basis = enumerate_sector(4, 4)
-        h = build_hamiltonian(params, basis)
+        basis, h = band_edge_model()
         req = EvolutionRequest(total_time=2e-3, samples=41,
                                excited_ions=[1, 2, 3, 4])
         series = evolve(h, req, basis)
@@ -207,6 +203,134 @@ class TestEvolve:
         req = EvolutionRequest(total_time=1e-3, samples=101, excited_ions=[1, 2])
         series = evolve(h, req, basis)
         assert np.all(np.abs(series.sigma_z) <= 1.0 + 1e-8)
+
+
+def shifted_matvec(h):
+    """The operator propagate_krylov exponentiates: H minus its mean diagonal."""
+    shift = float(np.mean(h.diagonal()))
+    return lambda x: h.matrix @ x - shift * x
+
+
+def unscreened_estimates(matvec, v, dt, m_max):
+    """Error estimates of one full-length Lanczos run, without the screen.
+
+    Entry k is |dt| * beta_{k+1} * |exp(-i dt T_k)[k, 0]| for k >= 1 and
+    inf for k = 0, which is never checked.  At breakdown the entry is 0.0
+    and the list ends there.
+    """
+    basis = [v / np.linalg.norm(v)]
+    alphas, betas, ests = [], [], []
+    for k in range(m_max):
+        w = matvec(basis[k])
+        if k > 0:
+            w = w - betas[-1] * basis[k - 1]
+        alphas.append(np.vdot(basis[k], w).real)
+        w = w - alphas[-1] * basis[k]
+        q = np.array(basis)
+        w = w - q.T @ (q.conj() @ w)
+        beta = np.linalg.norm(w)
+        if beta < 1e-13 * max(1.0, np.max(np.abs(alphas))):
+            return ests + [0.0]
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        u_last = scipy.linalg.expm(-1j * dt * t)[-1, 0]
+        ests.append(abs(dt) * beta * abs(u_last) if k > 0 else np.inf)
+        betas.append(beta)
+        basis.append(w / beta)
+    return ests
+
+
+def counting(matvec):
+    """The matvec plus a list that grows by one entry per call."""
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return matvec(x)
+
+    return counted, calls
+
+
+def unscreened_stop(ests, budget):
+    """(k, estimate, converged) at which a step without the screen stops."""
+    for k, est in enumerate(ests):
+        if est <= budget:
+            return k, est, True
+    return len(ests) - 1, ests[-1], False
+
+
+class TestLanczosStep:
+    M_MAX = 40
+    # The largest budget propagate_krylov hands a step: krylov_tol <= 1e-3
+    # times a step that is at most the whole evolution.
+    MAX_STEP_BUDGET = 1e-3
+
+    @pytest.mark.parametrize("model", [fig2a_model, band_edge_model])
+    @pytest.mark.parametrize("dt", [2e-6, 1e-5, 5e-5, 2e-4, -5e-5])
+    def test_stops_at_first_passing_iteration(self, model, dt):
+        basis, h = model()
+        matvec = shifted_matvec(h)
+        v = prepare_initial_state(basis, range(1, basis.n_ions + 1))
+        ests = unscreened_estimates(matvec, v, dt, self.M_MAX)
+        placed = np.sort([e for e in ests if 1e-12 < e < np.inf])
+        # Budgets sit midway between estimates at least 10% apart, so
+        # rounding in either Lanczos run cannot move the stopping point.
+        wide = placed[1:] / placed[:-1] >= 1.1
+        budgets = np.sqrt(placed[1:] * placed[:-1])[wide]
+        budgets = np.concatenate([budgets, [1e-13, 10.0 * placed.max(initial=1.0)]])
+        for budget in budgets:
+            k, est, converged = unscreened_stop(ests, budget)
+            counted, calls = counting(matvec)
+            new_v, err = _lanczos_step(counted, v, dt, budget, self.M_MAX)
+            if new_v is not None:
+                assert err <= budget
+            if budget > self.MAX_STEP_BUDGET:
+                # Where the error still falls slowly, the screen may skip
+                # a passing iteration: the step then only runs longer.
+                assert len(calls) >= k + 1, budget
+                continue
+            assert len(calls) == k + 1, budget
+            assert (new_v is not None) == converged
+            assert err == pytest.approx(est, rel=1e-3, abs=1e-14)
+
+    def test_nearly_invariant_subspace_is_checked(self):
+        # |dt| * beta_1 = 100 puts the Taylor term far above |u[-1]| <= 1,
+        # while the tiny beta_2 makes the estimate pass at k = 1.
+        diag, off = [0.0, 1.0, 2.0, 3.0], [100.0, 1e-6, 1.0]
+        h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        v = np.eye(4, dtype=complex)[0]
+        ests = unscreened_estimates(lambda x: h @ x, v, 1.0, 4)
+        assert unscreened_stop(ests, 2e-6)[0] == 1
+        counted, calls = counting(lambda x: h @ x)
+        new_v, err = _lanczos_step(counted, v, 1.0, 2e-6, 4)
+        assert len(calls) == 2 and new_v is not None
+
+    def test_fig2a_breakdown_returns_exact_state(self):
+        basis, h = fig2a_model()
+        matvec = shifted_matvec(h)
+        v = prepare_initial_state(basis, [1, 2])
+        new_v, err = _lanczos_step(matvec, v, 1e-3, 1e-300, self.M_MAX)
+        exact = scipy.linalg.expm(-1j * 1e-3 * h.dense()) @ v
+        shift = np.mean(h.diagonal())
+        assert err == 0.0
+        assert np.max(np.abs(new_v * np.exp(-1j * shift * 1e-3) - exact)) < 1e-10
+
+    def test_step_hitting_m_max_returns_finite_estimate(self):
+        basis, h = band_edge_model()
+        v = prepare_initial_state(basis, [1, 2, 3, 4])
+        new_v, err = _lanczos_step(shifted_matvec(h), v, 1e-3, 1e-12, 5)
+        assert new_v is None
+        assert np.isfinite(err) and err > 1e-12
+
+    @pytest.mark.parametrize("size", range(1, 41))
+    def test_tridiag_expm_col_matches_expm(self, size):
+        rng = np.random.default_rng(size)
+        alphas = rng.uniform(-1.0, 1.0, size)
+        offdiag = rng.uniform(0.1, 1.0, size - 1)
+        t = np.diag(alphas) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+        for dt in (0.3, -4.0):
+            expected = scipy.linalg.expm(-1j * dt * t)[:, 0]
+            got = _tridiag_expm_col(alphas, offdiag, dt)
+            assert np.max(np.abs(got - expected)) < 1e-12
 
 
 class TestAverageSigmaZ:
