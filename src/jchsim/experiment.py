@@ -1,24 +1,36 @@
 """Config-driven experiment runs.
 
 Configs are flat key=value text files (comments with '#', lists
-comma-separated).  A run resolves the chain geometry, anchors the
-transverse trap frequency, derives per-ion couplings and detunings,
-builds the sector Hamiltonian, evolves, and writes timeseries.csv,
-modes.csv, t_matrix.csv, params.txt and plot.svg into the output
-directory.  All files are written atomically (temp + rename).
+comma-separated).  ExperimentConfig is the whole grammar: each field
+carries its key and a converter that refuses non-finite and out-of-range
+values.  parse_config and the calibration CSV readers raise ConfigError
+naming the line of any bad key, value or cell.  A run resolves the chain
+geometry, anchors the transverse trap frequency, derives per-ion
+couplings and detunings, builds the sector Hamiltonian, evolves, and
+writes timeseries.csv, modes.csv, t_matrix.csv, params.txt and plot.svg
+into the output directory.  All files are written atomically (temp +
+rename).
 """
 
+import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import calibration, svgplot
 from .constants import khz, mhz, microns, microseconds, to_khz, to_mhz, to_microns
-from .fock_basis import DEFAULT_DIMENSION_CAP, enumerate_sector, sector_dimension
+from .fock_basis import (
+    DEFAULT_DIMENSION_CAP,
+    SectorCapError,
+    enumerate_sector,
+    sector_dimension,
+)
 from .hamiltonian import JchParameters, build_hamiltonian
 from .ion_chain import (
     ChainGeometry,
+    ModeData,
     TrapParameters,
+    ZigzagError,
     anchor_transverse_frequency,
     hopping_to_csv,
     interaction_picture_shift,
@@ -26,7 +38,7 @@ from .ion_chain import (
     modes_to_csv,
     equilibrium_positions,
 )
-from .propagator import EvolutionRequest, evolve
+from .propagator import DENSE_ORACLE_CAP, EvolutionRequest, evolve
 from .textio import write_text_atomic as _atomic_write
 
 
@@ -42,47 +54,92 @@ class InfeasibleError(RuntimeError):
     """Physically or combinatorially infeasible run (exit code 3)."""
 
 
-_KNOWN_KEYS = {
-    "n_ions", "excitations", "excited_ions",
-    "geometry", "spacings_um", "spectrum_file",
-    "transverse_MHz", "axial_kHz", "quartic",
-    "top_mode_MHz",
-    "g_kHz", "delta_kHz", "waist_um", "stark_kHz", "beam_center_um",
-    "total_time_us", "samples", "method",
-    "krylov_tol", "max_krylov_dim",
-    "output_dir", "dimension_cap",
-    "delta_scan_kHz", "scan_ion",
-}
+def _number(kind, low=-math.inf, high=math.inf, above=False):
+    """Converter to a finite int or float in [low, high], or (low, high] if above."""
+    wants = f"a finite {kind.__name__} in {'(' if above else '['}{low:g}, {high:g}]"
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except (TypeError, ValueError):
+            value = math.nan
+        # not math.isfinite, which overflows on huge ints; nan fails any test
+        if not (abs(value) < math.inf and value <= high
+                and (value > low if above else value >= low)):
+            raise ValueError(f"{text!r} is not {wants}")
+        return value
+
+    return convert
+
+
+def _choice(*options):
+    def convert(text):
+        if text not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(options)}")
+        return text
+
+    return convert
+
+
+def _list_of(convert):
+    return lambda text: [convert(tok) for tok in map(str.strip, text.split(",")) if tok]
+
+
+_FINITE = _number(float)
+_POSITIVE = _number(float, 0, above=True)
+
+
+def _key(name, convert, default=MISSING):
+    """A config key: its name in the file and the converter for its value."""
+    return field(default=default, metadata={"key": name, "convert": convert})
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully parsed run description (units still CLI-facing)."""
+    """Fully parsed run description (units still CLI-facing).
 
-    n_ions: int
-    g_khz: float
-    delta_khz: float
-    total_time_us: float
-    samples: int
-    excitations: int = None
-    excited_ions: list = None
-    geometry_source: str = "spacings"
-    spacings_um: list = None
-    spectrum_file: str = None
-    transverse_mhz: float = None
-    axial_khz: float = None
-    quartic: float = 0.0
-    top_mode_mhz: float = None
-    waist_um: float = 162.0
-    stark_khz: float = 0.0
-    beam_center_um: float = 0.0
-    method: str = "krylov"
-    krylov_tol: float = 1e-9
-    max_krylov_dim: int = 40
-    output_dir: str = None
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
-    delta_scan_khz: list = None
-    scan_ion: int = None
+    This class is the config grammar.  Each field names its key and the
+    converter that checks the value; a field without a default is a
+    required key.  Checks spanning several keys are in parse_config.
+    """
+
+    n_ions: int = _key("n_ions", _number(int, 1))
+    g_khz: float = _key("g_kHz", _POSITIVE)
+    delta_khz: float = _key("delta_kHz", _FINITE)
+    total_time_us: float = _key("total_time_us", _POSITIVE)
+    samples: int = _key("samples", _number(int, 2))
+    # packed states hold at most 255 quanta per ion
+    excitations: int = _key("excitations", _number(int, 0, 255), None)
+    excited_ions: list = _key("excited_ions", _list_of(_number(int, 1)), None)
+    geometry_source: str = _key(
+        "geometry", _choice("spacings", "trap", "spectrum"), "spacings"
+    )
+    spacings_um: list = _key("spacings_um", _list_of(_POSITIVE), None)
+    spectrum_file: str = _key("spectrum_file", str, None)
+    transverse_mhz: float = _key("transverse_MHz", _POSITIVE, None)
+    axial_khz: float = _key("axial_kHz", _POSITIVE, None)
+    quartic: float = _key("quartic", _FINITE, 0.0)
+    top_mode_mhz: float = _key("top_mode_MHz", _POSITIVE, None)
+    waist_um: float = _key("waist_um", _FINITE, 162.0)  # <= 0: flat beam
+    stark_khz: float = _key("stark_kHz", _FINITE, 0.0)
+    beam_center_um: float = _key("beam_center_um", _FINITE, 0.0)
+    method: str = _key("method", _choice("krylov", "dense-oracle"), "krylov")
+    krylov_tol: float = _key("krylov_tol", _number(float, 0, 1e-3, above=True), 1e-9)
+    # one Lanczos iteration can only accept on breakdown
+    max_krylov_dim: int = _key("max_krylov_dim", _number(int, 2), 40)
+    output_dir: str = _key("output_dir", str, None)
+    dimension_cap: int = _key("dimension_cap", _number(int, 1), DEFAULT_DIMENSION_CAP)
+    delta_scan_khz: list = _key("delta_scan_kHz", _list_of(_FINITE), None)
+    scan_ion: int = _key("scan_ion", _number(int, 1), None)
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+# top_mode_MHz anchors the transverse trap frequency of a spacings chain
+_GEOMETRY_KEYS = {
+    "spacings": ("spacings_um", "top_mode_MHz"),
+    "trap": ("transverse_MHz", "axial_kHz"),
+    "spectrum": ("spectrum_file",),
+}
 
 
 def parse_key_values(path):
@@ -106,88 +163,57 @@ def parse_key_values(path):
     return pairs, lines
 
 
-def _want(pairs, lines, key, convert, required=False, default=None):
-    if key not in pairs:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return convert(pairs[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}", lines[key]) from exc
-
-
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def parse_config(path):
+    """Read a config file into an ExperimentConfig.
+
+    Any unknown key, missing required key, bad value or inconsistent
+    combination of keys raises ConfigError naming the key's line.
+    """
     pairs, lines = parse_key_values(path)
-    unknown = set(pairs) - _KNOWN_KEYS
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"unknown key {key!r}", lines[key])
+    values = {}
+    for key, text in pairs.items():
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key {key!r}", lines[key])
+        try:
+            values[_FIELDS[key].name] = _FIELDS[key].metadata["convert"](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", lines[key]) from exc
+    for key, f in _FIELDS.items():
+        if f.default is MISSING and key not in pairs:
+            raise ConfigError(f"missing required key {key!r}")
+    cfg = ExperimentConfig(**values)
 
-    cfg = ExperimentConfig(
-        n_ions=_want(pairs, lines, "n_ions", int, required=True),
-        g_khz=_want(pairs, lines, "g_kHz", float, required=True),
-        delta_khz=_want(pairs, lines, "delta_kHz", float, required=True),
-        total_time_us=_want(pairs, lines, "total_time_us", float, required=True),
-        samples=_want(pairs, lines, "samples", int, required=True),
-        excitations=_want(pairs, lines, "excitations", int),
-        excited_ions=_want(pairs, lines, "excited_ions", _int_list),
-        geometry_source=_want(pairs, lines, "geometry", str, default="spacings"),
-        spacings_um=_want(pairs, lines, "spacings_um", _float_list),
-        spectrum_file=_want(pairs, lines, "spectrum_file", str),
-        transverse_mhz=_want(pairs, lines, "transverse_MHz", float),
-        axial_khz=_want(pairs, lines, "axial_kHz", float),
-        quartic=_want(pairs, lines, "quartic", float, default=0.0),
-        top_mode_mhz=_want(pairs, lines, "top_mode_MHz", float),
-        waist_um=_want(pairs, lines, "waist_um", float, default=162.0),
-        stark_khz=_want(pairs, lines, "stark_kHz", float, default=0.0),
-        beam_center_um=_want(pairs, lines, "beam_center_um", float, default=0.0),
-        method=_want(pairs, lines, "method", str, default="krylov"),
-        krylov_tol=_want(pairs, lines, "krylov_tol", float, default=1e-9),
-        max_krylov_dim=_want(pairs, lines, "max_krylov_dim", int, default=40),
-        output_dir=_want(pairs, lines, "output_dir", str),
-        dimension_cap=_want(
-            pairs, lines, "dimension_cap", int, default=DEFAULT_DIMENSION_CAP
-        ),
-        delta_scan_khz=_want(pairs, lines, "delta_scan_kHz", _float_list),
-        scan_ion=_want(pairs, lines, "scan_ion", int),
-    )
-
-    if cfg.n_ions < 1:
-        raise ConfigError("n_ions must be >= 1", lines.get("n_ions"))
     if cfg.excitations is None and cfg.excited_ions is None:
         raise ConfigError("need either 'excitations' or 'excited_ions'")
     if cfg.excited_ions is None:
         cfg.excited_ions = list(range(1, cfg.excitations + 1))
     if cfg.excitations is None:
         cfg.excitations = len(cfg.excited_ions)
+    ions_line = lines.get("excited_ions", lines.get("excitations"))
     if cfg.excitations != len(cfg.excited_ions):
-        raise ConfigError("excitations does not match the excited_ions list")
-    if cfg.geometry_source not in ("spacings", "trap", "spectrum"):
+        raise ConfigError("excitations does not match the excited_ions list", ions_line)
+    ions = cfg.excited_ions
+    if len(set(ions)) < len(ions) or max(ions, default=0) > cfg.n_ions:
         raise ConfigError(
-            f"geometry must be spacings|trap|spectrum, got {cfg.geometry_source!r}",
-            lines.get("geometry"),
+            f"excited_ions {ions} must be distinct ions in 1..{cfg.n_ions}", ions_line
         )
-    if cfg.geometry_source == "spacings" and cfg.spacings_um is None:
-        raise ConfigError("geometry=spacings requires spacings_um")
-    if cfg.geometry_source == "spectrum" and cfg.spectrum_file is None:
-        raise ConfigError("geometry=spectrum requires spectrum_file")
-    if cfg.geometry_source == "trap" and (
-        cfg.transverse_mhz is None or cfg.axial_khz is None
+    if cfg.scan_ion is not None and cfg.scan_ion > cfg.n_ions:
+        raise ConfigError(f"scan_ion must lie in 1..{cfg.n_ions}", lines["scan_ion"])
+    for key in _GEOMETRY_KEYS[cfg.geometry_source]:
+        if key not in pairs:
+            raise ConfigError(
+                f"geometry={cfg.geometry_source} requires {key}", lines.get("geometry")
+            )
+    if cfg.geometry_source == "spacings" and len(cfg.spacings_um) + 1 != cfg.n_ions:
+        raise ConfigError(
+            f"spacings_um implies {len(cfg.spacings_um) + 1} ions, n_ions={cfg.n_ions}",
+            lines["spacings_um"],
+        )
+    if cfg.method == "dense-oracle" and (
+        sector_dimension(cfg.n_ions, cfg.excitations) > DENSE_ORACLE_CAP
     ):
-        raise ConfigError("geometry=trap requires transverse_MHz and axial_kHz")
-    if cfg.geometry_source == "spacings" and cfg.top_mode_mhz is None:
-        raise ConfigError("geometry=spacings requires top_mode_MHz to anchor the trap")
-    if cfg.method not in ("krylov", "dense-oracle"):
-        raise ConfigError(f"unknown method {cfg.method!r}", lines.get("method"))
+        limit = f"dense-oracle needs sector dimension <= {DENSE_ORACLE_CAP}"
+        raise ConfigError(limit, lines["method"])
     return cfg
 
 
@@ -198,8 +224,8 @@ class ResolvedModel:
     config: ExperimentConfig
     geometry: ChainGeometry
     transverse_frequency: float
-    modes_absolute: "ModeData"
-    modes_shifted: "ModeData"
+    modes_absolute: ModeData
+    modes_shifted: ModeData
     site: calibration.SiteParameters
     params: JchParameters
     dimension: int
@@ -207,16 +233,10 @@ class ResolvedModel:
 
 def resolve_model(cfg, seed=0):
     """Resolve geometry, modes and per-ion parameters for one run."""
-    from .ion_chain import ModeData  # noqa: F401  (type only)
-
     if cfg.geometry_source == "spacings":
         geometry = ChainGeometry.from_spacings(
             [microns(d) for d in cfg.spacings_um]
         )
-        if geometry.n_ions != cfg.n_ions:
-            raise ConfigError(
-                f"spacings_um implies {geometry.n_ions} ions, n_ions={cfg.n_ions}"
-            )
         wx = anchor_transverse_frequency(geometry, mhz(cfg.top_mode_mhz))
         trap = TrapParameters(transverse_frequency=wx, axial_quadratic=1.0)
     elif cfg.geometry_source == "trap":
@@ -229,28 +249,20 @@ def resolve_model(cfg, seed=0):
             geometry = equilibrium_positions(trap, cfg.n_ions)
         except Exception as exc:
             raise InfeasibleError(f"equilibrium solve failed: {exc}") from exc
-        wx = trap.transverse_frequency
     else:  # spectrum
         measured = read_spectrum_csv(cfg.spectrum_file)
         guess = calibration.initial_trap_guess(measured)
         fit = calibration.fit_chain_from_spectrum(measured, guess, seed=seed)
         geometry = fit.geometry
         trap = fit.trap
-        wx = trap.transverse_frequency
         if geometry.n_ions != cfg.n_ions:
             raise ConfigError(
                 f"spectrum implies {geometry.n_ions} ions, n_ions={cfg.n_ions}"
             )
 
-    from .ion_chain import ZigzagError
-
+    wx = trap.transverse_frequency
     try:
-        modes = mode_parameters(
-            TrapParameters(transverse_frequency=wx, axial_quadratic=1.0)
-            if cfg.geometry_source != "trap"
-            else trap,
-            geometry,
-        )
+        modes = mode_parameters(trap, geometry)
     except ZigzagError as exc:
         raise InfeasibleError(str(exc)) from exc
     shifted = interaction_picture_shift(modes, wx)
@@ -297,13 +309,6 @@ def with_detuning(model, delta_khz):
 def run_model(model):
     """Build the sector Hamiltonian and evolve; returns (basis, series)."""
     cfg = model.config
-    if model.dimension > cfg.dimension_cap:
-        raise InfeasibleError(
-            f"sector dimension {model.dimension} exceeds the cap "
-            f"{cfg.dimension_cap} (N={cfg.n_ions}, M={cfg.excitations})"
-        )
-    from .fock_basis import SectorCapError
-
     try:
         basis = enumerate_sector(cfg.n_ions, cfg.excitations, cfg.dimension_cap)
     except SectorCapError as exc:
@@ -406,33 +411,37 @@ def _run_scan(cfg, out, threads=1, seed=0):
     return out
 
 
-def read_spectrum_csv(path):
-    """Measured collective modes: CSV with columns index, frequency_MHz."""
-    import csv
+def _read_columns(path, *names):
+    """The named columns of a CSV file with a header row, as finite floats.
 
-    values = []
+    A missing column or a bad cell raises ConfigError; a bad cell's
+    error names its line in the file.
+    """
+    columns = [[] for _ in names]
     with open(path) as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "frequency_MHz" not in reader.fieldnames:
-            raise ConfigError(f"{path}: expected columns index,frequency_MHz")
+        if reader.fieldnames is None or not set(names) <= set(reader.fieldnames):
+            raise ConfigError(f"{path}: expected columns {','.join(names)}")
         for row in reader:
-            values.append(mhz(float(row["frequency_MHz"])))
-    if len(values) < 2:
+            for name, column in zip(names, columns):
+                try:
+                    column.append(_FINITE(row[name]))
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}: bad {name} cell: {exc}", reader.line_num
+                    ) from exc
+    return columns
+
+
+def read_spectrum_csv(path):
+    """Measured collective modes: CSV with columns index, frequency_MHz."""
+    (frequencies,) = _read_columns(path, "frequency_MHz")
+    if len(frequencies) < 2:
         raise ConfigError(f"{path}: need at least two modes")
-    return values
+    return [mhz(f) for f in frequencies]
 
 
 def read_rabi_csv(path):
     """Rabi calibration table: CSV with columns position_um, rabi_kHz."""
-    import csv
-
-    positions, rabis = [], []
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        need = {"position_um", "rabi_kHz"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: expected columns position_um,rabi_kHz")
-        for row in reader:
-            positions.append(microns(float(row["position_um"])))
-            rabis.append(khz(float(row["rabi_kHz"])))
-    return positions, rabis
+    positions, rabis = _read_columns(path, "position_um", "rabi_kHz")
+    return [microns(z) for z in positions], [khz(r) for r in rabis]

@@ -261,29 +261,20 @@ def interaction_picture_shift(modes, reference):
     )
 
 
-def anchor_transverse_frequency(geometry, top_mode, trap_template=None,
-                                bracket_width=None):
+def anchor_transverse_frequency(geometry, top_mode):
     """Find the transverse trap frequency whose highest collective mode
     equals top_mode (angular rad/s) for the given geometry.
 
     The highest corrected collective mode sits within a few kHz of the
     trap frequency itself, so a narrow bracket around top_mode suffices.
     """
-    if trap_template is None:
-        trap_template = TrapParameters(
-            transverse_frequency=top_mode, axial_quadratic=1.0
-        )
-    if bracket_width is None:
-        bracket_width = 0.02 * top_mode
 
     def top_of(wx):
-        trap = replace(trap_template, transverse_frequency=wx)
+        trap = TrapParameters(transverse_frequency=wx, axial_quadratic=1.0)
         return mode_parameters(trap, geometry).collective_frequencies[-1] - top_mode
 
-    lo = top_mode - bracket_width
-    hi = top_mode + bracket_width
-    wx = brentq(top_of, lo, hi, xtol=1e-6)
-    return wx
+    width = 0.02 * top_mode
+    return brentq(top_of, top_mode - width, top_mode + width, xtol=1e-6)
 
 
 def modes_to_csv(modes, path):

@@ -42,7 +42,6 @@ class EvolutionRequest:
     method: str = "krylov"
     krylov_tol: float = 1e-9
     max_krylov_dim: int = 40
-    dense_cap: int = DENSE_ORACLE_CAP
     store_states: bool = False
 
     def __post_init__(self):
@@ -241,9 +240,9 @@ def evolve(h, req, basis):
     times = np.linspace(0.0, req.total_time, req.samples)
 
     if req.method == "dense-oracle":
-        if basis.dimension > req.dense_cap:
+        if basis.dimension > DENSE_ORACLE_CAP:
             raise ValueError(
-                f"dense oracle limited to D <= {req.dense_cap}, "
+                f"dense oracle limited to D <= {DENSE_ORACLE_CAP}, "
                 f"got D = {basis.dimension}"
             )
         evals, evecs = np.linalg.eigh(h.dense())

@@ -1,10 +1,14 @@
+import dataclasses
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jchsim.cli import main
 from jchsim.constants import TWO_PI, khz, to_khz
+from jchsim.experiment import ExperimentConfig
 
 
 def write(path, text):
@@ -88,6 +92,54 @@ class TestSimulate:
         assert main(["--threads", "2", "simulate", cfg,
                      "--output-dir", str(out2)]) == 0
         assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+
+
+# Each replaces its keys' lines in SMALL_CFG and is appended last, so the
+# error must name the config's last line.
+BAD_CONFIG_VALUES = [
+    "samples = 1",
+    "krylov_tol = 0.5",
+    "excited_ions = 1,9",
+    "max_krylov_dim = 0",
+    "g_kHz = nan",
+    "g_kHz = -3",
+    "total_time_us = -5",
+    "top_mode_MHz = inf",
+    "delta_scan_kHz = -30,10\nscan_ion = 5",
+]
+
+
+@pytest.mark.parametrize("bad", BAD_CONFIG_VALUES)
+def test_bad_config_value_exits_2_with_line(tmp_path, capsys, bad):
+    keys = {line.split("=")[0].strip() for line in bad.splitlines()}
+    kept = [line for line in SMALL_CFG.splitlines()
+            if line.split("=")[0].strip() not in keys]
+    lines = kept + bad.splitlines()
+    cfg = write(tmp_path / "bad.cfg", "\n".join(lines) + "\n")
+    assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"line {len(lines)}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", ""], ids=["text", "nan", "empty"])
+@pytest.mark.parametrize("option,rows", [
+    ("--spectrum", ["index,frequency_MHz", "1,2.70", "2,2.72", "3,{}"]),
+    ("--rabi", ["position_um,rabi_kHz", "-5,40", "0,50", "5,{}"]),
+])
+def test_bad_csv_cell_exits_2_with_line(tmp_path, capsys, option, rows, cell):
+    csv = write(tmp_path / "bad.csv", "\n".join(rows).format(cell) + "\n")
+    assert main(["calibrate", option, csv]) == 2
+    assert "line 4: " in capsys.readouterr().err
+
+
+def test_readme_config_table_matches_grammar():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config grammar")[1].split("\n### ")[0]
+    documented = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    grammar = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
+    assert documented == grammar
 
 
 class TestDimension:
