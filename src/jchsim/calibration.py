@@ -7,12 +7,12 @@ profile plus geometry into per-ion couplings g_i and detunings Delta_i.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit, minimize
 
-from .constants import TWO_PI
+from .constants import COULOMB_CONSTANT, TWO_PI, YB171_MASS
 from .ion_chain import (
     ChainGeometry,
     EquilibriumError,
@@ -22,7 +22,9 @@ from .ion_chain import (
     mode_parameters,
 )
 
-DEFAULT_RMS_THRESHOLD = TWO_PI * 1.0e3  # rad/s; quoted spectra carry ~kHz rounding
+RMS_THRESHOLD = TWO_PI * 1.0e3  # rad/s; quoted spectra carry ~kHz rounding
+N_STARTS = 5  # jittered simplex starts per spectrum fit
+FLAT_RTOL = 1e-9  # Rabi spread, relative to the largest, below which a beam is flat
 
 
 class FitError(RuntimeError):
@@ -44,7 +46,8 @@ class LaserProfile:
 
     stark_amplitude is the peak fourth-order light shift D0; its spatial
     profile is the square of the amplitude profile.  waist = inf marks a
-    flat profile (no measurable curvature).
+    flat profile (no measurable curvature): both exponents are then
+    exactly -0.0, so amplitude and stark_shift are constant.
     """
 
     peak_rabi: float
@@ -61,15 +64,11 @@ class LaserProfile:
         return math.isinf(self.waist)
 
     def amplitude(self, z):
-        if self.is_flat:
-            return self.peak_rabi * np.ones_like(np.asarray(z, dtype=float))
         return self.peak_rabi * np.exp(
             -2.0 * (np.asarray(z) - self.beam_center) ** 2 / self.waist**2
         )
 
     def stark_shift(self, z):
-        if self.is_flat:
-            return self.stark_amplitude * np.ones_like(np.asarray(z, dtype=float))
         return self.stark_amplitude * np.exp(
             -4.0 * (np.asarray(z) - self.beam_center) ** 2 / self.waist**2
         )
@@ -87,8 +86,8 @@ class SiteParameters:
         object.__setattr__(self, "detunings", np.asarray(self.detunings, dtype=float))
         if self.couplings.shape != self.detunings.shape:
             raise ValueError("couplings and detunings must have the same length")
-        if np.any(self.couplings <= 0):
-            raise ValueError("couplings must be positive")
+        if not np.all((self.couplings > 0) & np.isfinite(self.couplings)):
+            raise ValueError("couplings must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -99,18 +98,15 @@ class SpectrumFitResult:
     best_trace: tuple            # best objective value after each start
 
 
-def _predicted_spectrum(wx, wz, quartic, n_ions, template):
-    trap = replace(
-        template,
-        transverse_frequency=wx,
-        axial_quadratic=wz,
-        axial_quartic=max(quartic, 0.0),
+def _predicted_spectrum(wx, wz, quartic, n_ions):
+    trap = TrapParameters(
+        transverse_frequency=wx, axial_quadratic=wz, axial_quartic=max(quartic, 0.0)
     )
     geometry = equilibrium_positions(trap, n_ions)
-    return trap, geometry, mode_parameters(trap, geometry).collective_frequencies
+    return trap, geometry, mode_parameters(wx, geometry).collective_frequencies
 
 
-def initial_trap_guess(measured_modes, template=None):
+def initial_trap_guess(measured_modes):
     """Rough (wx, wz) starting point from a measured spectrum.
 
     The top mode pins wx; the band width sets the nearest-neighbour
@@ -119,46 +115,39 @@ def initial_trap_guess(measured_modes, template=None):
     """
     meas = np.sort(np.asarray(measured_modes, dtype=float))
     n = meas.size
-    if template is None:
-        template = TrapParameters(transverse_frequency=meas[-1], axial_quadratic=1.0)
     wx = meas[-1]
     band = meas[-1] - meas[0]
     t_nn = band / (2.0 if n == 2 else 4.0)
-    kc_over_m = template.coulomb_constant / template.ion_mass
+    kc_over_m = COULOMB_CONSTANT / YB171_MASS
     d = (kc_over_m / (2.0 * wx * t_nn)) ** (1.0 / 3.0)
     ell = d * n**0.559 / 2.018
     wz = math.sqrt(kc_over_m / ell**3)
-    return replace(template, transverse_frequency=wx, axial_quadratic=wz)
+    return TrapParameters(transverse_frequency=wx, axial_quadratic=wz)
 
 
-def fit_chain_from_spectrum(
-    measured_modes,
-    trap_guess,
-    n_starts=5,
-    seed=0,
-    rms_threshold=DEFAULT_RMS_THRESHOLD,
-):
+def fit_chain_from_spectrum(measured_modes, seed=0):
     """Fit (wx, wz, quartic) so the predicted collective spectrum matches.
 
-    Derivative-free simplex with jittered multi-starts (the forward
-    model contains an inner equilibrium solve).  Starts are merged by
-    lowest residual with start-index tiebreak, so the result is
-    deterministic for a fixed seed.
+    Derivative-free simplex with N_STARTS jittered starts around
+    initial_trap_guess (the forward model contains an inner equilibrium
+    solve).  Starts are merged by lowest residual with start-index
+    tiebreak, so the result is deterministic for a fixed seed.  Raises
+    FitError if the best RMS residual exceeds RMS_THRESHOLD.
     """
     meas = np.sort(np.asarray(measured_modes, dtype=float))
     n = meas.size
     if n < 2:
         raise ValueError("need at least two measured modes")
 
-    wx0 = trap_guess.transverse_frequency
-    wz0 = trap_guess.axial_quadratic
-    q0 = trap_guess.axial_quartic
+    guess = initial_trap_guess(meas)
+    wx0 = guess.transverse_frequency
+    wz0 = guess.axial_quadratic
 
     def objective(x):
         wx = x[0] * wx0
         wz = abs(x[1]) * wz0
         try:
-            _, _, pred = _predicted_spectrum(wx, wz, x[2], n, trap_guess)
+            _, _, pred = _predicted_spectrum(wx, wz, x[2], n)
         except (ZigzagError, EquilibriumError, ValueError):
             return 1e6  # large finite penalty keeps the simplex moving
         return float(np.mean((pred - meas) ** 2)) / wx0**2
@@ -166,8 +155,8 @@ def fit_chain_from_spectrum(
     rng = np.random.default_rng(seed)
     best = None
     trace = []
-    for start in range(n_starts):
-        x0 = np.array([1.0, 1.0, q0])
+    for start in range(N_STARTS):
+        x0 = np.array([1.0, 1.0, guess.axial_quartic])
         if start > 0:
             x0[0] *= 1.0 + 1e-4 * rng.standard_normal()
             x0[1] *= 1.0 + 0.05 * rng.standard_normal()
@@ -186,22 +175,22 @@ def fit_chain_from_spectrum(
     rms = math.sqrt(best.fun) * wx0
     wx = best.x[0] * wx0
     wz = abs(best.x[1]) * wz0
-    trap, geometry, _ = _predicted_spectrum(wx, wz, best.x[2], n, trap_guess)
+    trap, geometry, _ = _predicted_spectrum(wx, wz, best.x[2], n)
     geometry = ChainGeometry(positions=geometry.positions, source="fitted-from-spectrum")
     result = SpectrumFitResult(
         trap=trap, geometry=geometry, rms_residual=rms, best_trace=tuple(trace)
     )
-    if rms > rms_threshold:
+    if rms > RMS_THRESHOLD:
         raise FitError(
             f"spectrum fit residual {rms / TWO_PI:.1f} Hz RMS exceeds "
-            f"{rms_threshold / TWO_PI:.1f} Hz",
+            f"{RMS_THRESHOLD / TWO_PI:.1f} Hz",
             best=result,
             residual=rms,
         )
     return result
 
 
-def fit_beam_profile(positions, rabi_measured, flat_rtol=1e-9):
+def fit_beam_profile(positions, rabi_measured):
     """Least-squares Gaussian Omega0 exp(-2 (z-c)^2 / sigma^2).
 
     Returns a LaserProfile with stark_amplitude left at zero.  If the
@@ -216,7 +205,7 @@ def fit_beam_profile(positions, rabi_measured, flat_rtol=1e-9):
         raise DegenerateDataError("need at least 3 distinct positions")
 
     spread = rabi.max() - rabi.min()
-    if spread <= flat_rtol * max(abs(rabi).max(), 1e-300):
+    if spread <= FLAT_RTOL * max(abs(rabi).max(), 1e-300):
         return LaserProfile(
             peak_rabi=float(rabi.mean()), waist=math.inf, beam_center=0.0
         )
@@ -247,21 +236,13 @@ def fit_beam_profile(positions, rabi_measured, flat_rtol=1e-9):
     )
 
 
-def derive_site_parameters(
-    profile,
-    geometry,
-    g_central,
-    delta_central,
-    include_eta_variation=False,
-    modes=None,
-):
+def derive_site_parameters(profile, geometry, g_central, delta_central):
     """Per-ion g_i and Delta_i from the drive profile and geometry.
 
     g_i scales with the amplitude profile normalized at the chain
     center (the middle ion for odd N, the beam center for even N);
     Delta_i adds the Stark-shift profile difference to the central
-    detuning.  include_eta_variation additionally rescales g_i by
-    sqrt(omega_c / omega_i) of the corrected local frequencies.
+    detuning.
     """
     if g_central <= 0:
         raise ValueError("g_central must be positive")
@@ -272,23 +253,11 @@ def derive_site_parameters(
     else:
         z_c = profile.beam_center
 
-    if profile.is_flat:
-        amp_ratio = np.ones(n)
-        stark_diff = np.zeros(n)
-    else:
+    # an amplitude that underflows at z_c gives a non-finite ratio, which
+    # SiteParameters refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
         amp_ratio = profile.amplitude(z) / profile.amplitude(z_c)
-        stark_diff = profile.stark_shift(z) - profile.stark_shift(z_c)
-
-    g = g_central * amp_ratio
-    if include_eta_variation:
-        if modes is None:
-            raise ValueError("include_eta_variation requires mode data")
-        w = modes.corrected_local
-        if n % 2 == 1:
-            w_c = w[n // 2]
-        else:
-            w_c = 0.5 * (w[n // 2 - 1] + w[n // 2])
-        g = g * np.sqrt(w_c / w)
-
-    delta = delta_central + stark_diff
-    return SiteParameters(couplings=g, detunings=delta)
+    stark_diff = profile.stark_shift(z) - profile.stark_shift(z_c)
+    return SiteParameters(
+        couplings=g_central * amp_ratio, detunings=delta_central + stark_diff
+    )

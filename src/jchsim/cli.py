@@ -18,7 +18,6 @@ from .calibration import (
     FitError,
     fit_beam_profile,
     fit_chain_from_spectrum,
-    initial_trap_guess,
 )
 from .constants import to_khz, to_mhz, to_microns
 from .experiment import ConfigError, InfeasibleError, read_rabi_csv, read_spectrum_csv, run
@@ -75,8 +74,7 @@ def _cmd_dimension(args):
 def _cmd_calibrate(args):
     if args.spectrum:
         measured = read_spectrum_csv(args.spectrum)
-        guess = initial_trap_guess(measured)
-        fit = fit_chain_from_spectrum(measured, guess, seed=args.seed)
+        fit = fit_chain_from_spectrum(measured, seed=args.seed)
         print(f"n_ions = {fit.geometry.n_ions}")
         print(f"transverse_MHz = {to_mhz(fit.trap.transverse_frequency):.6f}")
         print(f"axial_kHz = {to_khz(fit.trap.axial_quadratic):.6f}")

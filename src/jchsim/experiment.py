@@ -238,31 +238,30 @@ def resolve_model(cfg, seed=0):
             [microns(d) for d in cfg.spacings_um]
         )
         wx = anchor_transverse_frequency(geometry, mhz(cfg.top_mode_mhz))
-        trap = TrapParameters(transverse_frequency=wx, axial_quadratic=1.0)
     elif cfg.geometry_source == "trap":
         trap = TrapParameters(
             transverse_frequency=mhz(cfg.transverse_mhz),
             axial_quadratic=khz(cfg.axial_khz),
             axial_quartic=cfg.quartic,
         )
+        wx = trap.transverse_frequency
         try:
             geometry = equilibrium_positions(trap, cfg.n_ions)
         except Exception as exc:
             raise InfeasibleError(f"equilibrium solve failed: {exc}") from exc
     else:  # spectrum
-        measured = read_spectrum_csv(cfg.spectrum_file)
-        guess = calibration.initial_trap_guess(measured)
-        fit = calibration.fit_chain_from_spectrum(measured, guess, seed=seed)
+        fit = calibration.fit_chain_from_spectrum(
+            read_spectrum_csv(cfg.spectrum_file), seed=seed
+        )
         geometry = fit.geometry
-        trap = fit.trap
+        wx = fit.trap.transverse_frequency
         if geometry.n_ions != cfg.n_ions:
             raise ConfigError(
                 f"spectrum implies {geometry.n_ions} ions, n_ions={cfg.n_ions}"
             )
 
-    wx = trap.transverse_frequency
     try:
-        modes = mode_parameters(trap, geometry)
+        modes = mode_parameters(wx, geometry)
     except ZigzagError as exc:
         raise InfeasibleError(str(exc)) from exc
     shifted = interaction_picture_shift(modes, wx)
@@ -293,10 +292,17 @@ def with_detuning(model, delta_khz):
         stark_amplitude=khz(cfg.stark_khz),
         beam_center=microns(cfg.beam_center_um),
     )
-    site = calibration.derive_site_parameters(
-        profile, model.geometry, g_central=khz(cfg.g_khz),
-        delta_central=khz(delta_khz),
-    )
+    try:
+        site = calibration.derive_site_parameters(
+            profile, model.geometry, g_central=khz(cfg.g_khz),
+            delta_central=khz(delta_khz),
+        )
+    except ValueError as exc:
+        # the smallest usable waist depends on the ion positions
+        raise ConfigError(
+            f"waist_um = {cfg.waist_um:g} with beam_center_um = "
+            f"{cfg.beam_center_um:g} leaves an ion without drive ({exc})"
+        ) from exc
     params = JchParameters(
         detunings=site.detunings,
         local_frequencies=model.modes_shifted.corrected_local,

@@ -15,6 +15,11 @@ from scipy.optimize import brentq
 from .constants import COULOMB_CONSTANT, YB171_MASS
 from .textio import write_text_atomic
 
+# Damped Newton iteration limit and relative force residual for the
+# equilibrium solve.
+EQUILIBRIUM_MAX_ITER = 200
+EQUILIBRIUM_TOL = 1e-12
+
 
 class EquilibriumError(RuntimeError):
     """Force-balance solve did not converge; carries the last residual."""
@@ -36,32 +41,28 @@ class ZigzagError(ValueError):
 
 @dataclass(frozen=True)
 class TrapParameters:
-    """Trap and ion constants.
+    """Trap frequencies of a chain of 171Yb+ ions.
 
     transverse_frequency and axial_quadratic are angular rad/s; the
     quartic coefficient is dimensionless (0 = pure harmonic axial
     potential).  The axial potential per ion is
     (1/2) m wz^2 z^2 + m wz^2 q z^4 / l^2 with l the Coulomb length
-    scale below.
+    scale below.  The ion mass m and the Coulomb constant k_C are the
+    fixed values in jchsim.constants.
     """
 
     transverse_frequency: float
     axial_quadratic: float
     axial_quartic: float = 0.0
-    ion_mass: float = YB171_MASS
-    coulomb_constant: float = COULOMB_CONSTANT
 
     def __post_init__(self):
-        if self.ion_mass <= 0:
-            raise ValueError("ion_mass must be positive")
         if self.transverse_frequency <= 0:
             raise ValueError("transverse_frequency must be positive")
 
     def length_scale(self):
         """Coulomb length l = (k_C / (m wz^2))^(1/3)."""
         return (
-            self.coulomb_constant
-            / (self.ion_mass * self.axial_quadratic**2)
+            COULOMB_CONSTANT / (YB171_MASS * self.axial_quadratic**2)
         ) ** (1.0 / 3.0)
 
 
@@ -89,12 +90,12 @@ class ChainGeometry:
         return np.diff(self.positions)
 
     @classmethod
-    def from_spacings(cls, spacings_m, source="explicit-spacings"):
+    def from_spacings(cls, spacings_m):
         """Build a centered geometry from adjacent distances (m)."""
         d = np.asarray(spacings_m, dtype=float)
         z = np.concatenate([[0.0], np.cumsum(d)])
         z -= z.mean()
-        return cls(positions=z, source=source)
+        return cls(positions=z)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def _force_jacobian(u, quartic):
     return jac
 
 
-def equilibrium_positions(trap, n_ions, max_iter=200, tol=1e-12):
+def equilibrium_positions(trap, n_ions):
     """Solve the axial force balance for n_ions in the given trap.
 
     Damped Newton iteration on the dimensionless force vector, started
@@ -152,10 +153,10 @@ def equilibrium_positions(trap, n_ions, max_iter=200, tol=1e-12):
     u = d0 * (np.arange(n_ions) - (n_ions - 1) / 2.0)
 
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(EQUILIBRIUM_MAX_ITER):
         f = _dimensionless_force(u, q)
         resid = np.max(np.abs(f)) / max(1.0, np.max(np.abs(u)))
-        if resid < tol:
+        if resid < EQUILIBRIUM_TOL:
             break
         step = np.linalg.solve(_force_jacobian(u, q), f)
         # Backtrack until the residual norm decreases and order is kept.
@@ -174,8 +175,8 @@ def equilibrium_positions(trap, n_ions, max_iter=200, tol=1e-12):
         u = u - lam * step
     else:
         raise EquilibriumError(
-            f"equilibrium solve did not converge in {max_iter} iterations "
-            f"(residual {resid:.3e})",
+            f"equilibrium solve did not converge in {EQUILIBRIUM_MAX_ITER} "
+            f"iterations (residual {resid:.3e})",
             resid,
         )
 
@@ -192,17 +193,20 @@ def force_residual(trap, geometry):
     return np.max(np.abs(f)) / max(1.0, np.max(np.abs(u)))
 
 
-def mode_parameters(trap, geometry):
+def mode_parameters(transverse_frequency, geometry):
     """Local frequencies, hoppings, tilde corrections and collective modes.
 
     omega_i^2 = wx^2 - (k_C/m) sum_{j!=i} 1/z_ij^3
     t_ij      = k_C / (2 m sqrt(omega_i omega_j) z_ij^3)
-    tilde corrections subtract the second-order sums over the chain.
+    with wx = transverse_frequency (angular rad/s); tilde corrections
+    subtract the second-order sums over the chain.
     Raises ZigzagError if any omega_i^2 <= 0.
     """
+    if transverse_frequency <= 0:
+        raise ValueError("transverse_frequency must be positive")
     n = geometry.n_ions
-    wx = trap.transverse_frequency
-    kc_over_m = trap.coulomb_constant / trap.ion_mass
+    wx = transverse_frequency
+    kc_over_m = COULOMB_CONSTANT / YB171_MASS
 
     z = geometry.positions
     dz = np.abs(z[:, None] - z[None, :])
@@ -239,13 +243,6 @@ def collective_spectrum_from(local, hopping):
     return np.sort(np.linalg.eigvalsh(np.diag(local) + hopping))
 
 
-def collective_spectrum(modes, corrected=True):
-    """Collective mode frequencies from corrected or raw parameters."""
-    if corrected:
-        return collective_spectrum_from(modes.corrected_local, modes.corrected_hopping)
-    return collective_spectrum_from(modes.local_frequencies, modes.hopping)
-
-
 def interaction_picture_shift(modes, reference):
     """Shift all local and collective frequencies by -reference.
 
@@ -270,8 +267,7 @@ def anchor_transverse_frequency(geometry, top_mode):
     """
 
     def top_of(wx):
-        trap = TrapParameters(transverse_frequency=wx, axial_quadratic=1.0)
-        return mode_parameters(trap, geometry).collective_frequencies[-1] - top_mode
+        return mode_parameters(wx, geometry).collective_frequencies[-1] - top_mode
 
     width = 0.02 * top_mode
     return brentq(top_of, top_mode - width, top_mode + width, xtol=1e-6)
@@ -290,12 +286,11 @@ def modes_to_csv(modes, path):
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def hopping_to_csv(modes, path, corrected=True):
-    """Write the (corrected) hopping matrix as a dense CSV in kHz."""
+def hopping_to_csv(modes, path):
+    """Write the corrected hopping matrix as a dense CSV in kHz."""
     from .constants import to_khz
 
-    t = modes.corrected_hopping if corrected else modes.hopping
     lines = []
-    for row in t:
+    for row in modes.corrected_hopping:
         lines.append(",".join(f"{to_khz(v):.17g}" for v in row))
     write_text_atomic(path, "\n".join(lines) + "\n")

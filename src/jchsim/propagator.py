@@ -31,14 +31,13 @@ class PropagationError(RuntimeError):
 class EvolutionRequest:
     """What to evolve and how.
 
-    Either excited_ions (1-based indices of spins prepared up, zero
-    phonons) or an explicit amplitudes vector must be given.
+    excited_ions are the 1-based indices of the spins prepared up, with
+    zero phonons.
     """
 
     total_time: float
     samples: int
-    excited_ions: list = None
-    amplitudes: np.ndarray = None
+    excited_ions: list
     method: str = "krylov"
     krylov_tol: float = 1e-9
     max_krylov_dim: int = 40
@@ -53,8 +52,6 @@ class EvolutionRequest:
             raise ValueError("krylov_tol must lie in (0, 1e-3]")
         if self.method not in ("krylov", "dense-oracle"):
             raise ValueError(f"unknown method {self.method!r}")
-        if (self.excited_ions is None) == (self.amplitudes is None):
-            raise ValueError("give exactly one of excited_ions or amplitudes")
 
 
 @dataclass
@@ -227,15 +224,7 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
 
 def evolve(h, req, basis):
     """Sample per-ion <sigma_z> on a uniform grid under the Hamiltonian."""
-    if req.amplitudes is not None:
-        v0 = np.asarray(req.amplitudes, dtype=complex)
-        if v0.shape != (basis.dimension,):
-            raise ValueError("amplitude vector length does not match the sector")
-        nrm = np.linalg.norm(v0)
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"initial state norm {nrm} is not 1")
-    else:
-        v0 = prepare_initial_state(basis, req.excited_ions)
+    v0 = prepare_initial_state(basis, req.excited_ions)
 
     times = np.linspace(0.0, req.total_time, req.samples)
 

@@ -26,9 +26,7 @@ def shifted_modes(n):
         [d * 1e-6 for d in table["spacings_um"]]
     )
     wx = jchsim.anchor_transverse_frequency(geo, mhz(table["modes_MHz"][-1]))
-    modes = jchsim.mode_parameters(
-        jchsim.TrapParameters(wx, khz(100)), geo
-    )
+    modes = jchsim.mode_parameters(wx, geo)
     return geo, wx, jchsim.interaction_picture_shift(modes, wx)
 
 
@@ -84,16 +82,15 @@ def test_04_calibration():
     from jchsim.calibration import (
         fit_beam_profile,
         fit_chain_from_spectrum,
-        initial_trap_guess,
     )
 
     start = time.monotonic()
     meas2 = [mhz(f) for f in CHAIN_TABLES[2]["modes_MHz"]]
-    fit2 = fit_chain_from_spectrum(meas2, initial_trap_guess(meas2))
+    fit2 = fit_chain_from_spectrum(meas2)
     ok = abs(to_microns(fit2.geometry.spacings[0]) - 5.280) < 0.05
 
     meas4 = [mhz(f) for f in CHAIN_TABLES[4]["modes_MHz"]]
-    fit4 = fit_chain_from_spectrum(meas4, initial_trap_guess(meas4))
+    fit4 = fit_chain_from_spectrum(meas4)
     ok &= np.allclose(
         to_microns(fit4.geometry.spacings), [6.602, 6.104, 6.602], atol=0.05
     )

@@ -2,15 +2,18 @@
 
 bench/launch.py patches the names listed in its TRACED and SETUP_BOUNDARY
 tables, and wraps propagator._lanczos_step and propagate_krylov to count
-matvecs.  A refactor that moves one of them would otherwise only fail in
-a traced benchmark run.
+matvecs.  bench/checks.py wraps its own CSR matrix in SparseHamiltonian
+and calls propagate_krylov positionally.  A refactor that moves or
+reshapes one of them would otherwise only fail in a benchmark run.
 """
 
 import importlib
 import os
 import types
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 LAUNCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "launch.py"
@@ -43,3 +46,29 @@ def test_matvec_counter_targets_exist():
     propagator = importlib.import_module("jchsim.propagator")
     assert callable(propagator._lanczos_step)
     assert callable(propagator.propagate_krylov)
+
+
+def test_checks_krylov_call_runs():
+    # The call bench/checks.py makes: a bare CSR matrix, no params or basis.
+    from jchsim.constants import khz
+    from jchsim.fock_basis import enumerate_sector
+    from jchsim.hamiltonian import JchParameters, SparseHamiltonian, build_hamiltonian
+    from jchsim.propagator import propagate_krylov
+
+    hop = khz(-4.0) * (np.ones((3, 3)) - np.eye(3))
+    params = JchParameters(
+        detunings=np.full(3, khz(-20.0)),
+        local_frequencies=khz(np.array([-10.0, -25.0, -10.0])),
+        couplings=np.full(3, khz(11.5)),
+        hoppings=hop,
+    )
+    basis = enumerate_sector(3, 2)
+    matrix = build_hamiltonian(params, basis).matrix
+    v0 = np.zeros(basis.dimension, dtype=complex)
+    v0[0] = 1.0
+    v = propagate_krylov(SparseHamiltonian(matrix, None, None), v0, 6e-6, 1e-9, 40,
+                         time_scale=30e-6)
+    assert v.shape == (basis.dimension,)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
+    exact = scipy.linalg.expm(-6e-6j * matrix.toarray()) @ v0
+    assert np.max(np.abs(v - exact)) < 1e-8

@@ -9,7 +9,6 @@ from jchsim.calibration import (
     derive_site_parameters,
     fit_beam_profile,
     fit_chain_from_spectrum,
-    initial_trap_guess,
 )
 from jchsim.constants import khz, mhz, to_microns
 from jchsim.ion_chain import (
@@ -23,44 +22,47 @@ from jchsim.ion_chain import (
 class TestFitChainFromSpectrum:
     def test_two_ion_paper_distance(self, chain_tables):
         measured = [mhz(f) for f in chain_tables[2]["modes_MHz"]]
-        fit = fit_chain_from_spectrum(measured, initial_trap_guess(measured))
+        fit = fit_chain_from_spectrum(measured)
         spacing_um = to_microns(fit.geometry.spacings[0])
         assert spacing_um == pytest.approx(5.280, abs=0.03)
         assert fit.geometry.source == "fitted-from-spectrum"
 
     def test_four_ion_paper_distances(self, chain_tables):
         measured = [mhz(f) for f in chain_tables[4]["modes_MHz"]]
-        fit = fit_chain_from_spectrum(measured, initial_trap_guess(measured))
+        fit = fit_chain_from_spectrum(measured)
         got = to_microns(fit.geometry.spacings)
         assert got == pytest.approx([6.602, 6.104, 6.602], abs=0.05)
 
     def test_synthetic_roundtrip_recovers_axial(self):
         trap = TrapParameters(mhz(2.75), khz(120))
         geo = equilibrium_positions(trap, 5)
-        spectrum = list(mode_parameters(trap, geo).collective_frequencies)
-        fit = fit_chain_from_spectrum(spectrum, initial_trap_guess(spectrum))
+        modes = mode_parameters(trap.transverse_frequency, geo)
+        spectrum = list(modes.collective_frequencies)
+        fit = fit_chain_from_spectrum(spectrum)
         rel = abs(fit.trap.axial_quadratic - trap.axial_quadratic)
         assert rel / trap.axial_quadratic < 1e-4
 
     def test_roundtrip_reproduces_spectrum(self):
         trap = TrapParameters(mhz(2.70), khz(90))
         geo = equilibrium_positions(trap, 3)
-        spectrum = mode_parameters(trap, geo).collective_frequencies
-        fit = fit_chain_from_spectrum(list(spectrum), initial_trap_guess(list(spectrum)))
-        refit = mode_parameters(fit.trap, fit.geometry).collective_frequencies
+        modes = mode_parameters(trap.transverse_frequency, geo)
+        spectrum = modes.collective_frequencies
+        fit = fit_chain_from_spectrum(list(spectrum))
+        refit = mode_parameters(
+            fit.trap.transverse_frequency, fit.geometry
+        ).collective_frequencies
         assert np.max(np.abs(refit - spectrum) / spectrum) < 1e-3
 
     def test_best_residual_trace_monotone(self, chain_tables):
         measured = [mhz(f) for f in chain_tables[2]["modes_MHz"]]
-        fit = fit_chain_from_spectrum(measured, initial_trap_guess(measured))
+        fit = fit_chain_from_spectrum(measured)
         trace = np.array(fit.best_trace)
         assert np.all(np.diff(trace) <= 0.0)
 
     def test_deterministic_for_fixed_seed(self, chain_tables):
         measured = [mhz(f) for f in chain_tables[2]["modes_MHz"]]
-        guess = initial_trap_guess(measured)
-        a = fit_chain_from_spectrum(measured, guess, seed=42)
-        b = fit_chain_from_spectrum(measured, guess, seed=42)
+        a = fit_chain_from_spectrum(measured, seed=42)
+        b = fit_chain_from_spectrum(measured, seed=42)
         assert a.geometry.positions == pytest.approx(b.geometry.positions, rel=0)
 
 
@@ -143,21 +145,12 @@ class TestDeriveSiteParameters:
             off_center = np.delete(site.detunings, 2)
             assert np.all(np.sign(off_center) == sign)
 
-    def test_eta_variation_scales_with_local_frequency(self):
-        trap = TrapParameters(mhz(2.7), khz(120))
-        geo = equilibrium_positions(trap, 5)
-        modes = mode_parameters(trap, geo)
-        profile = LaserProfile(peak_rabi=khz(50), waist=162e-6)
-        plain = derive_site_parameters(profile, geo, khz(10), khz(0))
-        varied = derive_site_parameters(
-            profile, geo, khz(10), khz(0),
-            include_eta_variation=True, modes=modes,
-        )
-        w = modes.corrected_local
-        w_c = w[2]
-        assert varied.couplings == pytest.approx(
-            plain.couplings * np.sqrt(w_c / w), rel=1e-12
-        )
+    def test_drive_underflow_at_center_rejected(self):
+        # 0/0 at the middle ion would otherwise pass NaN couplings on
+        profile = LaserProfile(peak_rabi=khz(50), waist=1e-9, beam_center=3e-6)
+        geo = ChainGeometry(positions=np.array([-5e-6, 0.0, 5e-6]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            derive_site_parameters(profile, geo, khz(10), khz(0))
 
     def test_flat_profile_uniform_parameters(self):
         profile = LaserProfile(peak_rabi=khz(50), waist=math.inf,

@@ -94,8 +94,16 @@ class TestSimulate:
         assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
 
 
-# Each replaces its keys' lines in SMALL_CFG and is appended last, so the
-# error must name the config's last line.
+def small_cfg_with(override):
+    """SMALL_CFG's lines with the override's keys replaced by its lines, last."""
+    keys = {line.split("=")[0].strip() for line in override.splitlines()}
+    kept = [line for line in SMALL_CFG.splitlines()
+            if line.split("=")[0].strip() not in keys]
+    return kept + override.splitlines()
+
+
+# Each is appended last by small_cfg_with, so the error must name the
+# config's last line.
 BAD_CONFIG_VALUES = [
     "samples = 1",
     "krylov_tol = 0.5",
@@ -111,10 +119,7 @@ BAD_CONFIG_VALUES = [
 
 @pytest.mark.parametrize("bad", BAD_CONFIG_VALUES)
 def test_bad_config_value_exits_2_with_line(tmp_path, capsys, bad):
-    keys = {line.split("=")[0].strip() for line in bad.splitlines()}
-    kept = [line for line in SMALL_CFG.splitlines()
-            if line.split("=")[0].strip() not in keys]
-    lines = kept + bad.splitlines()
+    lines = small_cfg_with(bad)
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines) + "\n")
     assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
     assert f"line {len(lines)}: " in capsys.readouterr().err
@@ -131,6 +136,19 @@ def test_bad_csv_cell_exits_2_with_line(tmp_path, capsys, option, rows, cell):
     assert "line 4: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beam", [
+    "waist_um = 1e-3",
+    "n_ions = 3\nexcitations = 1\nspacings_um = 5.28,5.28\n"
+    "waist_um = 1e-3\nbeam_center_um = 3",
+], ids=["two-ion", "off-center"])
+def test_beam_too_narrow_for_chain_exits_2(tmp_path, capsys, beam):
+    # The drive underflows at an ion (or at the chain center), which no
+    # single-key range can refuse: it depends on the ion positions.
+    cfg = write(tmp_path / "narrow.cfg", "\n".join(small_cfg_with(beam)) + "\n")
+    assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert "waist_um" in capsys.readouterr().err
+
+
 def test_readme_config_table_matches_grammar():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("### Config grammar")[1].split("\n### ")[0]
@@ -140,6 +158,14 @@ def test_readme_config_table_matches_grammar():
             documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
     grammar = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
     assert documented == grammar
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    sigma_z = np.array(capsys.readouterr().out.strip(" []\n").split(), dtype=float)
+    assert sigma_z.shape == (2,) and np.all(np.abs(sigma_z) <= 1.0 + 1e-8)
 
 
 class TestDimension:

@@ -7,7 +7,7 @@ from jchsim.ion_chain import (
     TrapParameters,
     ZigzagError,
     anchor_transverse_frequency,
-    collective_spectrum,
+    collective_spectrum_from,
     equilibrium_positions,
     force_residual,
     interaction_picture_shift,
@@ -84,7 +84,7 @@ class TestModeParameters:
             [d * 1e-6 for d in table["spacings_um"]]
         )
         wx = anchor_transverse_frequency(geo, mhz(table["modes_MHz"][-1]))
-        modes = mode_parameters(TrapParameters(wx, khz(100)), geo)
+        modes = mode_parameters(wx, geo)
         got_mhz = to_mhz(modes.collective_frequencies)
         assert got_mhz == pytest.approx(table["modes_MHz"], abs=1e-3)
         shifted = interaction_picture_shift(modes, wx)
@@ -94,7 +94,7 @@ class TestModeParameters:
 
     def test_two_ions_no_hopping_correction(self):
         geo = ChainGeometry.from_spacings([5.28e-6])
-        modes = mode_parameters(TrapParameters(mhz(2.75), khz(100)), geo)
+        modes = mode_parameters(mhz(2.75), geo)
         assert modes.corrected_hopping[0, 1] == modes.hopping[0, 1]
 
     def test_four_ion_paper_values(self, chain_tables):
@@ -103,7 +103,7 @@ class TestModeParameters:
             [d * 1e-6 for d in table["spacings_um"]]
         )
         wx = anchor_transverse_frequency(geo, mhz(table["modes_MHz"][-1]))
-        modes = mode_parameters(TrapParameters(wx, khz(100)), geo)
+        modes = mode_parameters(wx, geo)
         shifted = interaction_picture_shift(modes, wx)
         assert to_khz(shifted.corrected_local) == pytest.approx(
             table["local_kHz"], abs=0.5
@@ -117,7 +117,7 @@ class TestModeParameters:
         # local-frequency factor, which is removed below.
         d = 6e-6
         geo = ChainGeometry.from_spacings([d, d, d])
-        modes = mode_parameters(TrapParameters(mhz(3.0), khz(100)), geo)
+        modes = mode_parameters(mhz(3.0), geo)
         t = modes.hopping
         assert np.allclose(t, t.T)
         off = ~np.eye(4, dtype=bool)
@@ -128,7 +128,7 @@ class TestModeParameters:
 
     def test_collective_eigvals_permutation_invariant(self):
         geo = equilibrium_positions(TRAP, 5)
-        modes = mode_parameters(TRAP, geo)
+        modes = mode_parameters(TRAP.transverse_frequency, geo)
         m = np.diag(modes.corrected_local) + modes.corrected_hopping
         rng = np.random.default_rng(3)
         perm = rng.permutation(5)
@@ -139,28 +139,34 @@ class TestModeParameters:
 
     def test_mirror_symmetry(self):
         geo = equilibrium_positions(TRAP, 6)
-        modes = mode_parameters(TRAP, geo)
+        modes = mode_parameters(TRAP.transverse_frequency, geo)
         w = modes.corrected_local
         assert w == pytest.approx(w[::-1], rel=1e-12)
 
     def test_band_top_bound(self):
         geo = equilibrium_positions(TRAP, 6)
-        modes = mode_parameters(TRAP, geo)
+        modes = mode_parameters(TRAP.transverse_frequency, geo)
         bound = TRAP.transverse_frequency + modes.corrected_hopping.sum(axis=1).max()
         assert modes.collective_frequencies[-1] <= bound
 
+    @pytest.mark.parametrize("wx", [0.0, -mhz(2.7)])
+    def test_nonpositive_transverse_frequency_rejected(self, wx):
+        with pytest.raises(ValueError, match="transverse_frequency"):
+            mode_parameters(wx, ChainGeometry.from_spacings([5.28e-6]))
+
     def test_zigzag_error_names_ion(self):
         geo = ChainGeometry.from_spacings([0.5e-6])
-        trap = TrapParameters(khz(300), khz(100))
         with pytest.raises(ZigzagError) as excinfo:
-            mode_parameters(trap, geo)
+            mode_parameters(khz(300), geo)
         assert excinfo.value.ion_index in (1, 2)
 
     def test_uncorrected_spectrum_flag(self):
         geo = equilibrium_positions(TRAP, 4)
-        modes = mode_parameters(TRAP, geo)
-        raw = collective_spectrum(modes, corrected=False)
-        cooked = collective_spectrum(modes, corrected=True)
+        modes = mode_parameters(TRAP.transverse_frequency, geo)
+        raw = collective_spectrum_from(modes.local_frequencies, modes.hopping)
+        cooked = collective_spectrum_from(
+            modes.corrected_local, modes.corrected_hopping
+        )
         # the correction is tiny relative to the absolute mode frequency,
         # so compare with a tolerance well below its ~Hz scale
         assert np.max(np.abs(raw - cooked)) > 1.0
@@ -170,7 +176,7 @@ class TestModeParameters:
 class TestInteractionPictureShift:
     def test_zero_reference_is_identity(self):
         geo = equilibrium_positions(TRAP, 3)
-        modes = mode_parameters(TRAP, geo)
+        modes = mode_parameters(TRAP.transverse_frequency, geo)
         same = interaction_picture_shift(modes, 0.0)
         assert np.allclose(same.corrected_local, modes.corrected_local)
         assert np.allclose(
@@ -181,7 +187,7 @@ class TestInteractionPictureShift:
         table = chain_tables[2]
         geo = ChainGeometry.from_spacings([5.280e-6])
         wx = anchor_transverse_frequency(geo, mhz(table["modes_MHz"][-1]))
-        modes = mode_parameters(TrapParameters(wx, khz(100)), geo)
+        modes = mode_parameters(wx, geo)
         shifted = interaction_picture_shift(modes, wx)
         got = to_khz(shifted.collective_frequencies)
         assert got[0] == pytest.approx(-52.0, abs=1.5)
@@ -193,7 +199,7 @@ class TestInteractionPictureShift:
             [d * 1e-6 for d in table["spacings_um"]]
         )
         wx = anchor_transverse_frequency(geo, mhz(table["modes_MHz"][-1]))
-        modes = mode_parameters(TrapParameters(wx, khz(100)), geo)
+        modes = mode_parameters(wx, geo)
         shifted = interaction_picture_shift(modes, wx)
         assert to_khz(shifted.corrected_local) == pytest.approx(
             table["local_kHz"], abs=1.0
@@ -201,7 +207,7 @@ class TestInteractionPictureShift:
 
     def test_constant_shift_moves_every_collective_mode(self):
         geo = equilibrium_positions(TRAP, 5)
-        modes = mode_parameters(TRAP, geo)
+        modes = mode_parameters(TRAP.transverse_frequency, geo)
         c = khz(17.0)
         shifted = interaction_picture_shift(modes, c)
         assert shifted.collective_frequencies == pytest.approx(
@@ -214,7 +220,7 @@ def test_modes_csv_roundtrip(tmp_path):
     from jchsim.ion_chain import hopping_to_csv, modes_to_csv
 
     geo = equilibrium_positions(TRAP, 3)
-    modes = mode_parameters(TRAP, geo)
+    modes = mode_parameters(TRAP.transverse_frequency, geo)
     mpath = tmp_path / "modes.csv"
     tpath = tmp_path / "t.csv"
     modes_to_csv(modes, str(mpath))

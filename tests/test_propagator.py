@@ -7,7 +7,6 @@ from jchsim.fock_basis import enumerate_sector
 from jchsim.hamiltonian import JchParameters, build_hamiltonian
 from jchsim.ion_chain import (
     ChainGeometry,
-    TrapParameters,
     anchor_transverse_frequency,
     interaction_picture_shift,
     mode_parameters,
@@ -34,7 +33,7 @@ def fig2a_model():
     geo = ChainGeometry.from_spacings([5.280e-6])
     wx = anchor_transverse_frequency(geo, mhz(2.718))
     modes = interaction_picture_shift(
-        mode_parameters(TrapParameters(wx, khz(100)), geo), wx
+        mode_parameters(wx, geo), wx
     )
     params = JchParameters(
         detunings=np.full(2, khz(-60.0)),
@@ -51,7 +50,7 @@ def band_edge_model():
     geo = ChainGeometry.from_spacings([6.602e-6, 6.104e-6, 6.602e-6])
     wx = anchor_transverse_frequency(geo, mhz(2.744))
     modes = interaction_picture_shift(
-        mode_parameters(TrapParameters(wx, khz(100)), geo), wx
+        mode_parameters(wx, geo), wx
     )
     params = JchParameters(
         detunings=np.full(4, khz(-15.0)),
@@ -384,5 +383,5 @@ def test_invalid_requests():
     with pytest.raises(ValueError):
         EvolutionRequest(total_time=1e-3, samples=10, excited_ions=[1],
                          krylov_tol=1e-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # excited_ions is a required field
         EvolutionRequest(total_time=1e-3, samples=10)
