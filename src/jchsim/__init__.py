@@ -7,7 +7,7 @@ from .calibration import (
     fit_beam_profile,
     fit_chain_from_spectrum,
 )
-from .fock_basis import BasisState, SectorBasis, enumerate_sector, sector_dimension
+from .fock_basis import SectorBasis, enumerate_sector, sector_dimension
 from .hamiltonian import (
     JchParameters,
     SparseHamiltonian,
@@ -27,7 +27,6 @@ from .ion_chain import (
 from .propagator import (
     EvolutionRequest,
     TimeSeries,
-    average_sigma_z,
     evolve,
     prepare_initial_state,
 )

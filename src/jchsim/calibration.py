@@ -132,12 +132,18 @@ def fit_chain_from_spectrum(measured_modes, seed=0):
     initial_trap_guess (the forward model contains an inner equilibrium
     solve).  Starts are merged by lowest residual with start-index
     tiebreak, so the result is deterministic for a fixed seed.  Raises
-    FitError if the best RMS residual exceeds RMS_THRESHOLD.
+    DegenerateDataError for a mode <= 0 or a zero band width, and
+    FitError if the best point has no stable chain or its RMS residual
+    exceeds RMS_THRESHOLD.
     """
     meas = np.sort(np.asarray(measured_modes, dtype=float))
     n = meas.size
     if n < 2:
         raise ValueError("need at least two measured modes")
+    if meas[0] <= 0 or meas[0] == meas[-1]:
+        raise DegenerateDataError(
+            "need positive mode frequencies with a nonzero band width"
+        )
 
     guess = initial_trap_guess(meas)
     wx0 = guess.transverse_frequency
@@ -175,7 +181,12 @@ def fit_chain_from_spectrum(measured_modes, seed=0):
     rms = math.sqrt(best.fun) * wx0
     wx = best.x[0] * wx0
     wz = abs(best.x[1]) * wz0
-    trap, geometry, _ = _predicted_spectrum(wx, wz, best.x[2], n)
+    try:
+        trap, geometry, _ = _predicted_spectrum(wx, wz, best.x[2], n)
+    except (ZigzagError, EquilibriumError, ValueError) as exc:
+        raise FitError(
+            f"no stable chain reproduces the spectrum: {exc}", residual=rms
+        ) from exc
     geometry = ChainGeometry(positions=geometry.positions, source="fitted-from-spectrum")
     result = SpectrumFitResult(
         trap=trap, geometry=geometry, rms_residual=rms, best_trace=tuple(trace)

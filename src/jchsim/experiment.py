@@ -108,8 +108,7 @@ class ExperimentConfig:
     delta_khz: float = _key("delta_kHz", _FINITE)
     total_time_us: float = _key("total_time_us", _POSITIVE)
     samples: int = _key("samples", _number(int, 2))
-    # packed states hold at most 255 quanta per ion
-    excitations: int = _key("excitations", _number(int, 0, 255), None)
+    excitations: int = _key("excitations", _number(int, 0), None)
     excited_ions: list = _key("excited_ions", _list_of(_number(int, 1)), None)
     geometry_source: str = _key(
         "geometry", _choice("spacings", "trap", "spectrum"), "spacings"
@@ -185,6 +184,13 @@ def parse_config(path):
 
     if cfg.excitations is None and cfg.excited_ions is None:
         raise ConfigError("need either 'excitations' or 'excited_ions'")
+    # runs start with zero phonons, so each excitation is a spin-up ion;
+    # checked before the default excited_ions list is built
+    if (cfg.excitations or 0) > cfg.n_ions:
+        raise ConfigError(
+            f"excitations exceeds n_ions = {cfg.n_ions}; runs start with no phonons",
+            lines["excitations"],
+        )
     if cfg.excited_ions is None:
         cfg.excited_ions = list(range(1, cfg.excitations + 1))
     if cfg.excitations is None:
@@ -224,7 +230,6 @@ class ResolvedModel:
     config: ExperimentConfig
     geometry: ChainGeometry
     transverse_frequency: float
-    modes_absolute: ModeData
     modes_shifted: ModeData
     site: calibration.SiteParameters
     params: JchParameters
@@ -270,7 +275,6 @@ def resolve_model(cfg, seed=0):
         config=cfg,
         geometry=geometry,
         transverse_frequency=wx,
-        modes_absolute=modes,
         modes_shifted=shifted,
         site=None,
         params=None,

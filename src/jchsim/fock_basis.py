@@ -5,19 +5,14 @@ phonon number equals M.  SectorBasis stores it as two (D, N) arrays,
 spin-up flags and phonon occupations, ordered by spin mask ascending
 (bit i set = ion i+1 up), then occupations in colexicographic order;
 its indices() ranks array rows in closed form, so no other module needs
-the ordering.  BasisState and the packed integer of pack_state
-(occupation bytes for ions 1..N from the low byte up, spin mask above)
-are only the interchange format, whose numeric order is the sector order.
+the ordering.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
-
-from .textio import write_text_atomic
 
 DEFAULT_DIMENSION_CAP = 300_000
 
@@ -32,28 +27,6 @@ class SectorCapError(ValueError):
         )
         self.dimension = dimension
         self.cap = cap
-
-
-class SectorMismatchError(ValueError):
-    """State does not belong to the sector."""
-
-
-@dataclass(frozen=True)
-class BasisState:
-    spins: int
-    phonons: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "phonons", tuple(int(n) for n in self.phonons))
-        if self.spins < 0 or any(n < 0 for n in self.phonons):
-            raise ValueError("spins and phonon occupations must be non-negative")
-
-    @property
-    def n_ions(self):
-        return len(self.phonons)
-
-    def excitations(self):
-        return bin(self.spins).count("1") + sum(self.phonons)
 
 
 def sector_dimension(n_ions, excitations):
@@ -81,23 +54,6 @@ def _compositions_colex(total, parts):
         for head in _compositions_colex(total - last, parts - 1):
             out.append(head + (last,))
     return tuple(out)
-
-
-def pack_state(spins, phonons):
-    """Packed integer encoding: occupation bytes then spin mask on top."""
-    n = len(phonons)
-    packed = spins << (8 * n)
-    for i, occ in enumerate(phonons):
-        if occ > 255:
-            raise ValueError("phonon occupation exceeds one byte")
-        packed |= occ << (8 * i)
-    return packed
-
-
-def unpack_state(packed, n_ions):
-    spins = packed >> (8 * n_ions)
-    phonons = tuple((packed >> (8 * i)) & 0xFF for i in range(n_ions))
-    return BasisState(spins=spins, phonons=phonons)
 
 
 class SectorBasis:
@@ -140,22 +96,13 @@ class SectorBasis:
     def dimension(self):
         return len(self.occupations)
 
-    @property
-    def packed_states(self):
-        """Packed integer of every state, in sector order (built on demand)."""
-        states = map(self.state_at, range(len(self)))
-        return [pack_state(s.spins, s.phonons) for s in states]
-
-    def state_at(self, j):
-        spins = sum(1 << i for i, up in enumerate(self.spins[j]) if up)
-        return BasisState(spins=spins, phonons=self.occupations[j].tolist())
-
     def indices(self, spins, occupations):
         """Positions of in-sector states given as (K, N) spin and occupation rows.
 
         The rank is the number of states in the blocks of smaller spin
         masks plus the colex rank of the occupations within the block.
-        Rows must lie in the sector; index_of checks outside input first.
+        Rows must lie in the sector: the result for any other row is
+        meaningless and may fall outside 0..D-1.
         """
         spins = np.asarray(spins, dtype=bool)
         occupations = np.asarray(occupations)
@@ -173,21 +120,6 @@ class SectorBasis:
             left -= occ
         return index
 
-    def index_of(self, state):
-        """Position of a BasisState (or its packed integer) in the sector."""
-        if not isinstance(state, BasisState):
-            state = unpack_state(state, self.n_ions)
-        if state.n_ions != self.n_ions:
-            raise SectorMismatchError(
-                f"state has {state.n_ions} ions, basis has {self.n_ions}"
-            )
-        if state.spins >> self.n_ions or state.excitations() != self.excitations:
-            raise SectorMismatchError(
-                f"state not in the (N={self.n_ions}, M={self.excitations}) sector"
-            )
-        spins = [(state.spins >> i) & 1 for i in range(self.n_ions)]
-        return int(self.indices([spins], [state.phonons])[0])
-
     def spin_signs(self):
         """(D, N) array of +/-1 spin eigenvalues per state and ion."""
         return np.where(self.spins, np.int8(1), np.int8(-1))
@@ -196,26 +128,18 @@ class SectorBasis:
         """(D,) array of total phonon number per state."""
         return self.occupations.sum(axis=1)
 
-    def to_csv(self, path):
-        """Debug dump: index, spin string (ion 1 first), occupations."""
-        lines = ["index,spins,phonons"]
-        for j, (ups, occ) in enumerate(zip(self.spins, self.occupations)):
-            spin_str = "".join("u" if up else "d" for up in ups)
-            lines.append(f"{j},{spin_str},{' '.join(map(str, occ))}")
-        write_text_atomic(path, "\n".join(lines) + "\n")
-
 
 def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP):
     """Enumerate all states with popcount(spins) + sum(phonons) = M.
 
     Ordering: spin bitmask ascending, then phonon occupations in colex
-    order, which coincides with numeric order of the packed encoding.
+    order (ion N's occupation is the most significant).
     """
     dim = sector_dimension(n_ions, excitations)
     if dim > dimension_cap:
         raise SectorCapError(dim, dimension_cap)
-    if excitations > 255:
-        raise ValueError("excitations > 255 not representable in packed bytes")
+    if excitations > np.iinfo(np.int16).max:
+        raise ValueError("excitations exceed the int16 occupation array")
 
     n, m = n_ions, excitations
     # Masks with popcount <= M, generated per spin-up count so that large

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .textio import write_text_atomic
-
 
 @dataclass(frozen=True)
 class JchParameters:
@@ -51,27 +49,11 @@ class SparseHamiltonian:
         self.params = params
         self.basis = basis
 
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
-    def apply(self, v):
-        v = np.asarray(v)
-        if v.shape != (self.dimension,):
-            raise ValueError(f"vector length {v.shape} != dimension {self.dimension}")
-        return self.matrix @ v
-
     def dense(self):
         return self.matrix.toarray()
 
     def diagonal(self):
         return self.matrix.diagonal()
-
-    def to_coordinate_text(self, path):
-        """Dump nonzeros as 'row col value' lines (0-based) for cross-checks."""
-        coo = self.matrix.tocoo()
-        lines = (f"{r} {c} {v:.17g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
-        write_text_atomic(path, "".join(lines))
 
 
 def build_hamiltonian(params, basis):

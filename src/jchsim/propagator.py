@@ -13,7 +13,6 @@ import numpy as np
 from scipy.linalg.lapack import dstevd
 
 from .constants import to_microseconds
-from .fock_basis import BasisState
 from .hamiltonian import excitation_totals, spin_sign_matrix
 from .textio import write_text_atomic
 
@@ -93,15 +92,11 @@ def prepare_initial_state(basis, excited_ions):
         raise ValueError(
             f"{len(ions)} excited ions but the sector has M={basis.excitations}"
         )
-    state = BasisState(sum(1 << (i - 1) for i in ions), [0] * basis.n_ions)
+    spins = np.zeros((1, basis.n_ions), dtype=bool)
+    spins[0, [i - 1 for i in ions]] = True
     v = np.zeros(basis.dimension, dtype=complex)
-    v[basis.index_of(state)] = 1.0
+    v[basis.indices(spins, np.zeros(spins.shape, dtype=int))] = 1.0
     return v
-
-
-def average_sigma_z(series):
-    """Per-sample mean of <sigma_z> across ions."""
-    return series.sigma_z.mean(axis=1)
 
 
 def _lanczos_step(matvec, v, dt, err_budget, m_max):

@@ -181,7 +181,7 @@ def test_07_conservation_suite():
     ok = series.norm_drift.max() < 1e-9
     ok &= series.excitation_drift.max() < 1e-9
     energies = np.array(
-        [np.real(np.vdot(v, h.apply(v))) for v in series.states]
+        [np.real(np.vdot(v, h.matrix @ v)) for v in series.states]
     )
     ok &= np.max(np.abs(energies - energies[0])) < 1e-8 * abs(energies[0])
 

@@ -102,6 +102,12 @@ def small_cfg_with(override):
     return kept + override.splitlines()
 
 
+def spectrum_csv(modes):
+    rows = ["index,frequency_MHz"]
+    rows += [f"{i + 1},{f}" for i, f in enumerate(modes.split(","))]
+    return "\n".join(rows) + "\n"
+
+
 # Each is appended last by small_cfg_with, so the error must name the
 # config's last line.
 BAD_CONFIG_VALUES = [
@@ -114,6 +120,9 @@ BAD_CONFIG_VALUES = [
     "total_time_us = -5",
     "top_mode_MHz = inf",
     "delta_scan_kHz = -30,10\nscan_ion = 5",
+    # runs start with zero phonons, so M > N cannot be prepared
+    "excitations = 3",
+    "excitations = 1000000000000",
 ]
 
 
@@ -209,6 +218,24 @@ class TestCalibrate:
     def test_bad_spectrum_schema(self, tmp_path):
         csv = write(tmp_path / "bad.csv", "a,b\n1,2\n")
         assert main(["calibrate", "--spectrum", csv]) == 2
+
+    @pytest.mark.parametrize("modes,code,message", [
+        ("2.7,2.7", 2, "band width"),
+        ("2.7,-2.7", 2, "positive mode"),
+        ("0.1,2.7", 4, "no stable chain"),
+    ], ids=["flat", "negative", "zigzag"])
+    def test_degenerate_spectrum_exit_code(self, tmp_path, capsys, modes, code,
+                                           message):
+        csv = write(tmp_path / "spec.csv", spectrum_csv(modes))
+        assert main(["calibrate", "--spectrum", csv]) == code
+        assert message in capsys.readouterr().err
+
+    def test_degenerate_spectrum_config_exits_2(self, tmp_path, capsys):
+        csv = write(tmp_path / "spec.csv", spectrum_csv("2.7,2.7"))
+        lines = small_cfg_with(f"geometry = spectrum\nspectrum_file = {csv}")
+        cfg = write(tmp_path / "run.cfg", "\n".join(lines) + "\n")
+        assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "band width" in capsys.readouterr().err
 
 
 def test_unit_roundtrip_exact():

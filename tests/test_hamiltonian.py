@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jchsim.constants import khz
-from jchsim.fock_basis import BasisState, enumerate_sector
+from jchsim.fock_basis import enumerate_sector
 from jchsim.hamiltonian import (
     JchParameters,
     build_hamiltonian,
@@ -24,6 +24,15 @@ def uniform_params(n, delta, omega, g, t_nn, decay=True):
         couplings=np.full(n, g),
         hoppings=t,
     )
+
+
+def state_index(basis):
+    """{(spin flags, occupations): position}, read off the enumerated rows."""
+    return {
+        (tuple(ups), tuple(occ)): j
+        for j, (ups, occ) in enumerate(zip(basis.spins.tolist(),
+                                           basis.occupations.tolist()))
+    }
 
 
 def random_state(dim, seed):
@@ -56,16 +65,11 @@ class TestBuildHamiltonian:
         )
         h = build_hamiltonian(params, basis)
         dense = h.dense()
-
-        def idx(spins, phonons):
-            from jchsim.fock_basis import BasisState
-
-            return basis.index_of(BasisState(spins=spins, phonons=phonons))
-
-        i_ph1 = idx(0, (1, 0))
-        i_ph2 = idx(0, (0, 1))
-        i_up1 = idx(1, (0, 0))
-        i_up2 = idx(2, (0, 0))
+        index = state_index(basis)
+        i_ph1 = index[(False, False), (1, 0)]
+        i_ph2 = index[(False, False), (0, 1)]
+        i_up1 = index[(True, False), (0, 0)]
+        i_up2 = index[(False, True), (0, 0)]
         assert dense[i_up1, i_ph1] == pytest.approx(g1)
         assert dense[i_up2, i_ph2] == pytest.approx(g2)
         assert dense[i_ph1, i_ph2] == pytest.approx(t12)
@@ -86,12 +90,11 @@ class TestBuildHamiltonian:
         dense = h.dense()
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
         for j in range(len(basis)):
-            state = basis.state_at(j)
             energy = 0.0
             for i in range(3):
-                s = 1 if (state.spins >> i) & 1 else -1
+                s = 1 if basis.spins[j, i] else -1
                 energy += 0.5 * params.detunings[i] * s
-                energy += params.local_frequencies[i] * state.phonons[i]
+                energy += params.local_frequencies[i] * basis.occupations[j, i]
             assert dense[j, j] == pytest.approx(energy, abs=1e-6)
 
     @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (6, 3), (32, 1)])
@@ -108,26 +111,27 @@ class TestBuildHamiltonian:
             hoppings=t,
         )
         basis = enumerate_sector(n, m)
+        index = state_index(basis)
         expected = np.zeros((len(basis), len(basis)))
-        for col in range(len(basis)):
-            state = basis.state_at(col)
-            occ = list(state.phonons)
+        for (ups, occ), col in index.items():
             for i in range(n):
-                up = (state.spins >> i) & 1
+                up = ups[i]
                 expected[col, col] += params.detunings[i] * (up - 0.5)
                 expected[col, col] += params.local_frequencies[i] * occ[i]
                 if up:
-                    emitted = occ.copy()
+                    down = list(ups)
+                    down[i] = False
+                    emitted = list(occ)
                     emitted[i] += 1
-                    row = basis.index_of(BasisState(state.spins - (1 << i), emitted))
+                    row = index[tuple(down), tuple(emitted)]
                     value = params.couplings[i] * np.sqrt(occ[i] + 1)
                     expected[row, col] = expected[col, row] = value
                 for j in range(n):
                     if j != i and occ[j] and t[i, j] != 0.0:
-                        hopped = occ.copy()
+                        hopped = list(occ)
                         hopped[i] += 1
                         hopped[j] -= 1
-                        row = basis.index_of(BasisState(state.spins, hopped))
+                        row = index[ups, tuple(hopped)]
                         expected[row, col] = t[i, j] * np.sqrt((occ[i] + 1) * occ[j])
         dense = build_hamiltonian(params, basis).dense()
         assert np.array_equal(dense != 0.0, expected != 0.0)
@@ -145,8 +149,9 @@ class TestBuildHamiltonian:
         params = uniform_params(3, khz(5), khz(-3), khz(2), khz(1))
         h = build_hamiltonian(params, basis)
         coo = h.matrix.tocoo()
+        excitations = basis.spins.sum(axis=1) + basis.occupations.sum(axis=1)
         for r, c in zip(coo.row, coo.col):
-            assert basis.state_at(r).excitations() == basis.state_at(c).excitations()
+            assert excitations[r] == excitations[c]
 
     def test_row_nonzero_bound_matches_combinatorics(self):
         n, m = 4, 3
@@ -157,16 +162,16 @@ class TestBuildHamiltonian:
         assert per_row.max() <= 1 + n + n * (n - 1)
         # count exact expected nonzeros per row from the coupling rules
         for j in range(len(basis)):
-            state = basis.state_at(j)
+            ups, phonons = basis.spins[j], basis.occupations[j]
             expected = 1  # diagonal
             for i in range(n):
-                if (state.spins >> i) & 1:
+                if ups[i]:
                     expected += 1  # emit phonon
-                elif state.phonons[i] > 0:
+                elif phonons[i] > 0:
                     expected += 1  # absorb phonon
             for a in range(n):
                 for b in range(n):
-                    if a != b and state.phonons[b] > 0:
+                    if a != b and phonons[b] > 0:
                         expected += 1
             assert per_row[j] == expected
 
@@ -195,7 +200,7 @@ class TestApply:
         basis = enumerate_sector(2, 2)
         params = uniform_params(2, khz(5), khz(-3), khz(2), khz(1))
         h = build_hamiltonian(params, basis)
-        assert np.all(h.apply(np.zeros(len(basis), dtype=complex)) == 0)
+        assert np.all(h.matrix @ np.zeros(len(basis), dtype=complex) == 0)
 
     def test_quadratic_form_real(self):
         basis = enumerate_sector(3, 2)
@@ -203,7 +208,7 @@ class TestApply:
         h = build_hamiltonian(params, basis)
         for seed in range(5):
             v = random_state(len(basis), seed)
-            q = np.vdot(v, h.apply(v))
+            q = np.vdot(v, h.matrix @ v)
             scale = np.abs(h.matrix).sum(axis=1).max()
             assert abs(q.imag) < 1e-12 * scale
 
@@ -215,8 +220,8 @@ class TestApply:
         for _ in range(5):
             u = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             v = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            lhs = np.vdot(u, h.apply(v))
-            rhs = np.vdot(h.apply(u), v)
+            lhs = np.vdot(u, h.matrix @ v)
+            rhs = np.vdot(h.matrix @ u, v)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_matches_dense_product(self):
@@ -226,14 +231,7 @@ class TestApply:
         dense = h.dense()
         for seed in range(3):
             v = random_state(len(basis), seed)
-            assert h.apply(v) == pytest.approx(dense @ v, rel=1e-12)
-
-    def test_length_mismatch(self):
-        basis = enumerate_sector(2, 1)
-        params = uniform_params(2, khz(5), khz(-3), khz(2), khz(1))
-        h = build_hamiltonian(params, basis)
-        with pytest.raises(ValueError):
-            h.apply(np.zeros(3))
+            assert h.matrix @ v == pytest.approx(dense @ v, rel=1e-12)
 
 
 class TestObservables:
@@ -271,16 +269,3 @@ class TestObservables:
         v = np.zeros(len(basis), dtype=complex)
         v[5] = 1.0
         assert excitation_expectation(basis, v) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_coordinate_text_export(tmp_path):
-    basis = enumerate_sector(2, 1)
-    params = uniform_params(2, khz(5), khz(-3), khz(2), khz(1))
-    h = build_hamiltonian(params, basis)
-    path = tmp_path / "h.txt"
-    h.to_coordinate_text(str(path))
-    rebuilt = np.zeros((4, 4))
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert rebuilt == pytest.approx(h.dense())
