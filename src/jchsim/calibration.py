@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize
+from scipy.optimize import curve_fit, least_squares
 
 from .constants import COULOMB_CONSTANT, TWO_PI, YB171_MASS
 from .ion_chain import (
@@ -23,17 +23,11 @@ from .ion_chain import (
 )
 
 RMS_THRESHOLD = TWO_PI * 1.0e3  # rad/s; quoted spectra carry ~kHz rounding
-N_STARTS = 5  # jittered simplex starts per spectrum fit
 FLAT_RTOL = 1e-9  # Rabi spread, relative to the largest, below which a beam is flat
 
 
 class FitError(RuntimeError):
-    """Fit did not reach the required residual; carries the best found."""
-
-    def __init__(self, message, best=None, residual=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
+    """Fit found no stable chain, did not converge or missed its residual bound."""
 
 
 class DegenerateDataError(ValueError):
@@ -94,8 +88,7 @@ class SiteParameters:
 class SpectrumFitResult:
     trap: TrapParameters
     geometry: ChainGeometry
-    rms_residual: float          # rad/s
-    best_trace: tuple            # best objective value after each start
+    rms_residual: float  # rad/s
 
 
 def _predicted_spectrum(wx, wz, quartic, n_ions):
@@ -125,16 +118,16 @@ def initial_trap_guess(measured_modes):
     return TrapParameters(transverse_frequency=wx, axial_quadratic=wz)
 
 
-def fit_chain_from_spectrum(measured_modes, seed=0):
+def fit_chain_from_spectrum(measured_modes):
     """Fit (wx, wz, quartic) so the predicted collective spectrum matches.
 
-    Derivative-free simplex with N_STARTS jittered starts around
-    initial_trap_guess (the forward model contains an inner equilibrium
-    solve).  Starts are merged by lowest residual with start-index
-    tiebreak, so the result is deterministic for a fixed seed.  Raises
-    DegenerateDataError for a mode <= 0 or a zero band width, and
-    FitError if the best point has no stable chain or its RMS residual
-    exceeds RMS_THRESHOLD.
+    One trust-region least-squares solve on the mode residuals, scaled
+    by the guessed wx, started at initial_trap_guess with a
+    finite-difference Jacobian (the forward model contains an inner
+    equilibrium solve).  A point with no stable chain returns a constant
+    penalty residual.  Raises DegenerateDataError for a mode <= 0 or a
+    zero band width, and FitError if the solution has no stable chain
+    or its RMS residual exceeds RMS_THRESHOLD.
     """
     meas = np.sort(np.asarray(measured_modes, dtype=float))
     n = meas.size
@@ -149,56 +142,30 @@ def fit_chain_from_spectrum(measured_modes, seed=0):
     wx0 = guess.transverse_frequency
     wz0 = guess.axial_quadratic
 
-    def objective(x):
-        wx = x[0] * wx0
-        wz = abs(x[1]) * wz0
+    def residuals(x):
         try:
-            _, _, pred = _predicted_spectrum(wx, wz, x[2], n)
+            _, _, pred = _predicted_spectrum(x[0] * wx0, abs(x[1]) * wz0, x[2], n)
         except (ZigzagError, EquilibriumError, ValueError):
-            return 1e6  # large finite penalty keeps the simplex moving
-        return float(np.mean((pred - meas) ** 2)) / wx0**2
+            return np.full(n, 1e3)  # finite penalty keeps the solver moving
+        return (pred - meas) / wx0
 
-    rng = np.random.default_rng(seed)
-    best = None
-    trace = []
-    for start in range(N_STARTS):
-        x0 = np.array([1.0, 1.0, guess.axial_quartic])
-        if start > 0:
-            x0[0] *= 1.0 + 1e-4 * rng.standard_normal()
-            x0[1] *= 1.0 + 0.05 * rng.standard_normal()
-            x0[2] += 0.02 * rng.standard_normal()
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            # fatol stays above the objective's noise floor, or starts run to maxiter
-            options={"xatol": 1e-11, "fatol": 1e-18, "maxiter": 2000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        trace.append(best.fun)
-
-    rms = math.sqrt(best.fun) * wx0
-    wx = best.x[0] * wx0
-    wz = abs(best.x[1]) * wz0
+    # x_scale="jac": the quartic's sensitivity differs from the frequency
+    # ratios' by orders of magnitude
+    best = least_squares(residuals, [1.0, 1.0, guess.axial_quartic], x_scale="jac").x
+    wx = best[0] * wx0
+    wz = abs(best[1]) * wz0
     try:
-        trap, geometry, _ = _predicted_spectrum(wx, wz, best.x[2], n)
+        trap, geometry, pred = _predicted_spectrum(wx, wz, best[2], n)
     except (ZigzagError, EquilibriumError, ValueError) as exc:
-        raise FitError(
-            f"no stable chain reproduces the spectrum: {exc}", residual=rms
-        ) from exc
-    geometry = ChainGeometry(positions=geometry.positions, source="fitted-from-spectrum")
-    result = SpectrumFitResult(
-        trap=trap, geometry=geometry, rms_residual=rms, best_trace=tuple(trace)
-    )
+        raise FitError(f"no stable chain reproduces the spectrum: {exc}") from exc
+    rms = math.sqrt(float(np.mean((pred - meas) ** 2)))
     if rms > RMS_THRESHOLD:
         raise FitError(
             f"spectrum fit residual {rms / TWO_PI:.1f} Hz RMS exceeds "
-            f"{RMS_THRESHOLD / TWO_PI:.1f} Hz",
-            best=result,
-            residual=rms,
+            f"{RMS_THRESHOLD / TWO_PI:.1f} Hz"
         )
-    return result
+    geometry = ChainGeometry(positions=geometry.positions, source="fitted-from-spectrum")
+    return SpectrumFitResult(trap=trap, geometry=geometry, rms_residual=rms)
 
 
 def fit_beam_profile(positions, rabi_measured):

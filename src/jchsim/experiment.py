@@ -236,7 +236,7 @@ class ResolvedModel:
     dimension: int
 
 
-def resolve_model(cfg, seed=0):
+def resolve_model(cfg):
     """Resolve geometry, modes and per-ion parameters for one run."""
     if cfg.geometry_source == "spacings":
         geometry = ChainGeometry.from_spacings(
@@ -255,9 +255,7 @@ def resolve_model(cfg, seed=0):
         except Exception as exc:
             raise InfeasibleError(f"equilibrium solve failed: {exc}") from exc
     else:  # spectrum
-        fit = calibration.fit_chain_from_spectrum(
-            read_spectrum_csv(cfg.spectrum_file), seed=seed
-        )
+        fit = calibration.fit_chain_from_spectrum(read_spectrum_csv(cfg.spectrum_file))
         geometry = fit.geometry
         wx = fit.trap.transverse_frequency
         if geometry.n_ions != cfg.n_ions:
@@ -362,7 +360,7 @@ def write_params_txt(model, path):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def run(config_path, output_dir=None, threads=1, seed=0):
+def run(config_path, output_dir=None, threads=1):
     """Full pipeline for one config; returns the output directory."""
     cfg = parse_config(config_path)
     out = output_dir or cfg.output_dir
@@ -372,9 +370,9 @@ def run(config_path, output_dir=None, threads=1, seed=0):
     os.makedirs(out, exist_ok=True)
 
     if cfg.delta_scan_khz:
-        return _run_scan(cfg, out, threads=threads, seed=seed)
+        return _run_scan(cfg, out, threads=threads)
 
-    model = resolve_model(cfg, seed=seed)
+    model = resolve_model(cfg)
     basis, series = run_model(model)
     _write_artifacts(model, series, out)
     return out
@@ -388,11 +386,11 @@ def _write_artifacts(model, series, out):
     svgplot.write_timeseries_svg(series, os.path.join(out, "plot.svg"))
 
 
-def _run_scan(cfg, out, threads=1, seed=0):
+def _run_scan(cfg, out, threads=1):
     """One sub-run per scan detuning plus a combined heat-map CSV."""
     scan_ion = cfg.scan_ion or (cfg.n_ions + 1) // 2
     deltas = list(cfg.delta_scan_khz)
-    chain = resolve_model(cfg, seed=seed)
+    chain = resolve_model(cfg)
 
     def one(delta_khz):
         model = with_detuning(chain, delta_khz)

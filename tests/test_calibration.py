@@ -1,8 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
+from jchsim import calibration
 from jchsim.calibration import (
     DegenerateDataError,
     LaserProfile,
@@ -11,12 +14,15 @@ from jchsim.calibration import (
     fit_chain_from_spectrum,
 )
 from jchsim.constants import khz, mhz, to_microns
+from jchsim.experiment import read_spectrum_csv
 from jchsim.ion_chain import (
     ChainGeometry,
     TrapParameters,
     equilibrium_positions,
     mode_parameters,
 )
+
+BENCH_INPUTS = os.path.join(REPO_ROOT, "bench", "inputs")
 
 
 class TestFitChainFromSpectrum:
@@ -33,9 +39,19 @@ class TestFitChainFromSpectrum:
         got = to_microns(fit.geometry.spacings)
         assert got == pytest.approx([6.602, 6.104, 6.602], abs=0.05)
 
-    def test_synthetic_roundtrip_recovers_axial(self):
-        trap = TrapParameters(mhz(2.75), khz(120))
-        geo = equilibrium_positions(trap, 5)
+    # Seeded synthetic traps, half with a quartic term.  A 3-ion chain has
+    # one spacing, so a quartic term there would not be identifiable.
+    @pytest.mark.parametrize("n_ions,quartic", [
+        (3, False), (4, True), (5, False), (8, True), (11, False), (15, True),
+    ])
+    def test_synthetic_roundtrip_recovers_axial(self, n_ions, quartic):
+        rng = np.random.default_rng(n_ions)
+        trap = TrapParameters(
+            mhz(rng.uniform(2.6, 2.9)),
+            khz(rng.uniform(60.0, 150.0)),
+            rng.uniform(0.02, 0.27) if quartic else 0.0,
+        )
+        geo = equilibrium_positions(trap, n_ions)
         modes = mode_parameters(trap.transverse_frequency, geo)
         spectrum = list(modes.collective_frequencies)
         fit = fit_chain_from_spectrum(spectrum)
@@ -53,17 +69,28 @@ class TestFitChainFromSpectrum:
         ).collective_frequencies
         assert np.max(np.abs(refit - spectrum) / spectrum) < 1e-3
 
-    def test_best_residual_trace_monotone(self, chain_tables):
+    def test_repeated_fits_bit_identical(self, chain_tables):
         measured = [mhz(f) for f in chain_tables[2]["modes_MHz"]]
-        fit = fit_chain_from_spectrum(measured)
-        trace = np.array(fit.best_trace)
-        assert np.all(np.diff(trace) <= 0.0)
+        a = fit_chain_from_spectrum(measured)
+        b = fit_chain_from_spectrum(measured)
+        assert np.array_equal(a.geometry.positions, b.geometry.positions)
 
-    def test_deterministic_for_fixed_seed(self, chain_tables):
-        measured = [mhz(f) for f in chain_tables[2]["modes_MHz"]]
-        a = fit_chain_from_spectrum(measured, seed=42)
-        b = fit_chain_from_spectrum(measured, seed=42)
-        assert a.geometry.positions == pytest.approx(b.geometry.positions, rel=0)
+    @pytest.mark.parametrize("source", [2, 4, "spectrum_4.csv", "spectrum_20.csv"])
+    def test_forward_solves_per_fit(self, monkeypatch, chain_tables, source):
+        if isinstance(source, int):
+            measured = [mhz(f) for f in chain_tables[source]["modes_MHz"]]
+        else:
+            measured = read_spectrum_csv(os.path.join(BENCH_INPUTS, source))
+        calls = []
+        forward = calibration._predicted_spectrum
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(calibration, "_predicted_spectrum", counted)
+        fit_chain_from_spectrum(measured)
+        assert 0 < len(calls) <= 200
 
 
 class TestFitBeamProfile:

@@ -230,6 +230,12 @@ class TestCalibrate:
         assert main(["calibrate", "--spectrum", csv]) == code
         assert message in capsys.readouterr().err
 
+    def test_spectrum_residual_over_threshold_exits_4(self, tmp_path, capsys):
+        # bench/inputs/spectrum_4.csv with its second mode moved by +30 kHz
+        csv = write(tmp_path / "spec.csv", spectrum_csv("2.692,2.744,2.732,2.744"))
+        assert main(["calibrate", "--spectrum", csv]) == 4
+        assert "exceeds" in capsys.readouterr().err
+
     def test_degenerate_spectrum_config_exits_2(self, tmp_path, capsys):
         csv = write(tmp_path / "spec.csv", spectrum_csv("2.7,2.7"))
         lines = small_cfg_with(f"geometry = spectrum\nspectrum_file = {csv}")
