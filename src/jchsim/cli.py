@@ -20,7 +20,14 @@ from .calibration import (
     fit_chain_from_spectrum,
 )
 from .constants import to_khz, to_mhz, to_microns
-from .experiment import ConfigError, InfeasibleError, read_rabi_csv, read_spectrum_csv, run
+from .experiment import (
+    ConfigError,
+    InfeasibleError,
+    _number,
+    read_rabi_csv,
+    read_spectrum_csv,
+    run,
+)
 from .fock_basis import sector_dimension
 from .propagator import PropagationError
 
@@ -30,12 +37,25 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 
+def _integer(low):
+    """argparse type for an integer >= low, checked as config values are."""
+    convert = _number(int, low)
+
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jchsim",
         description="Trapped-ion Jaynes-Cummings-Hubbard chain simulator",
     )
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_integer(1), default=1,
                         help="parallelism for detuning scans")
     # Read by nothing; kept because the benchmark's self-tests still pass it.
     parser.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
@@ -46,8 +66,8 @@ def build_parser():
     p_sim.add_argument("--output-dir", default=None)
 
     p_dim = sub.add_parser("dimension", help="exact sector dimension")
-    p_dim.add_argument("n_ions", type=int)
-    p_dim.add_argument("excitations", type=int)
+    p_dim.add_argument("n_ions", type=_integer(1))
+    p_dim.add_argument("excitations", type=_integer(0))
 
     p_cal = sub.add_parser("calibrate", help="fit trap or beam parameters")
     group = p_cal.add_mutually_exclusive_group(required=True)

@@ -203,6 +203,16 @@ def parse_config(path):
         raise ConfigError(
             f"excited_ions {ions} must be distinct ions in 1..{cfg.n_ions}", ions_line
         )
+    subdirs = {}
+    for delta in cfg.delta_scan_khz or ():
+        name = _scan_subdir(delta)
+        if name in subdirs:
+            raise ConfigError(
+                f"delta_scan_kHz values {subdirs[name]!r} and {delta!r} would "
+                f"share the sub-run directory {name}",
+                lines["delta_scan_kHz"],
+            )
+        subdirs[name] = delta
     if cfg.scan_ion is not None and cfg.scan_ion > cfg.n_ions:
         raise ConfigError(f"scan_ion must lie in 1..{cfg.n_ions}", lines["scan_ion"])
     for key in _GEOMETRY_KEYS[cfg.geometry_source]:
@@ -386,6 +396,11 @@ def _write_artifacts(model, series, out):
     svgplot.write_timeseries_svg(series, os.path.join(out, "plot.svg"))
 
 
+def _scan_subdir(delta_khz):
+    """Directory name of one scan sub-run."""
+    return f"delta_{delta_khz:g}kHz"
+
+
 def _run_scan(cfg, out, threads=1):
     """One sub-run per scan detuning plus a combined heat-map CSV."""
     scan_ion = cfg.scan_ion or (cfg.n_ions + 1) // 2
@@ -395,7 +410,7 @@ def _run_scan(cfg, out, threads=1):
     def one(delta_khz):
         model = with_detuning(chain, delta_khz)
         _, series = run_model(model)
-        sub = os.path.join(out, f"delta_{delta_khz:g}kHz")
+        sub = os.path.join(out, _scan_subdir(delta_khz))
         os.makedirs(sub, exist_ok=True)
         _write_artifacts(model, series, sub)
         return series

@@ -9,6 +9,7 @@ element is real, so the matrix is stored as a real symmetric CSR.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,8 +53,10 @@ class SparseHamiltonian:
     def dense(self):
         return self.matrix.toarray()
 
-    def diagonal(self):
-        return self.matrix.diagonal()
+    @cached_property
+    def mean_diagonal(self):
+        """The constant shift propagate_krylov removes, computed once."""
+        return float(np.mean(self.matrix.diagonal()))
 
 
 def build_hamiltonian(params, basis):
@@ -86,6 +89,9 @@ def build_hamiltonian(params, basis):
     for i in range(n):
         diag += 0.5 * delta[i] * signs[:, i] + omega[i] * occ[:, i]
 
+    # Indices are stored as int32 whenever D fits, as scipy would pick, so
+    # the conversion below reads them without another copy.
+    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     rows, cols, vals = [], [], []
     for i in range(n):
         col = np.flatnonzero(spins[:, i])
@@ -93,8 +99,8 @@ def build_hamiltonian(params, basis):
         down[:, i] = False
         emitted = occ[col]
         emitted[:, i] += 1
-        rows.append(basis.indices(down, emitted))
-        cols.append(col)
+        rows.append(basis.indices(down, emitted).astype(index))
+        cols.append(col.astype(index))
         vals.append(g[i] * np.sqrt(occ[col, i] + 1.0))
 
     for i, j in zip(*np.nonzero(np.triu(t, 1))):
@@ -102,14 +108,22 @@ def build_hamiltonian(params, basis):
         hopped = occ[col]
         hopped[:, i] += 1
         hopped[:, j] -= 1
-        rows.append(basis.indices(spins[col], hopped))
-        cols.append(col)
+        rows.append(basis.indices(spins[col], hopped).astype(index))
+        cols.append(col.astype(index))
         vals.append(t[i, j] * np.sqrt((occ[col, i] + 1.0) * occ[col, j]))
 
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    h = (off + off.T + sp.diags(diag)).tocsr()
-    h.sum_duplicates()
+    # Both triangles and the diagonal go through one COO -> CSR conversion.
+    # No (row, col) repeats, so nothing is summed and each value is stored
+    # as computed; zeros are dropped, as CSR addition would drop them.
+    on_diag = np.arange(dim, dtype=index)
+    r = np.concatenate(rows + cols + [on_diag])
+    c = np.concatenate(cols + rows + [on_diag])
+    del rows, cols, on_diag
+    v = np.concatenate(vals + vals + [diag])
+    del vals, diag
+    h = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
+    del r, c, v
+    h.eliminate_zeros()
     return SparseHamiltonian(h, params, basis)
 
 

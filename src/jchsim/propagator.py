@@ -180,7 +180,7 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
         return v0.copy()
     if time_scale is None:
         time_scale = abs(t_target)
-    shift = float(np.mean(h.diagonal()))
+    shift = h.mean_diagonal
     mat = h.matrix
 
     def matvec(x):

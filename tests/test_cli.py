@@ -123,6 +123,9 @@ BAD_CONFIG_VALUES = [
     # runs start with zero phonons, so M > N cannot be prepared
     "excitations = 3",
     "excitations = 1000000000000",
+    # sub-run directories are named with %g, so these would overwrite
+    "delta_scan_kHz = -15.0000001,-15.0000002,-15",
+    "delta_scan_kHz = 10,-30,10",
 ]
 
 
@@ -192,6 +195,21 @@ class TestDimension:
         out = capsys.readouterr().out
         log2 = float(out.split("log2(D) = ")[1])
         assert log2 > 77.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dimension", "-1", "3"],
+    ["dimension", "0", "0"],
+    ["dimension", "3", "-1"],
+    ["--threads", "0", "dimension", "2", "2"],
+    ["--threads", "-3", "dimension", "2", "2"],
+], ids=["negative-ions", "zero-ions", "negative-excitations", "zero-threads",
+        "negative-threads"])
+def test_bad_cli_number_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "is not a finite int in" in capsys.readouterr().err
 
 
 class TestCalibrate:

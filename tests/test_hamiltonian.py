@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def uniform_params(n, delta, omega, g, t_nn, decay=True):
         detunings=np.full(n, delta),
         local_frequencies=np.full(n, omega),
         couplings=np.full(n, g),
+        hoppings=t,
+    )
+
+
+def random_params(n, seed):
+    """Seeded random chain parameters; ions 1 and N do not hop."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((n, n)) * khz(1)
+    t = t + t.T
+    np.fill_diagonal(t, 0.0)
+    t[0, -1] = t[-1, 0] = 0.0
+    return JchParameters(
+        detunings=rng.standard_normal(n) * khz(10),
+        local_frequencies=rng.standard_normal(n) * khz(10),
+        couplings=rng.standard_normal(n) * khz(5),
         hoppings=t,
     )
 
@@ -99,17 +116,8 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (6, 3), (32, 1)])
     def test_matches_per_state_assembly(self, n, m):
-        rng = np.random.default_rng(100 * n + m)
-        t = rng.standard_normal((n, n)) * khz(1)
-        t = t + t.T
-        np.fill_diagonal(t, 0.0)
-        t[0, -1] = t[-1, 0] = 0.0
-        params = JchParameters(
-            detunings=rng.standard_normal(n) * khz(10),
-            local_frequencies=rng.standard_normal(n) * khz(10),
-            couplings=rng.standard_normal(n) * khz(5),
-            hoppings=t,
-        )
+        params = random_params(n, 100 * n + m)
+        t = params.hoppings
         basis = enumerate_sector(n, m)
         index = state_index(basis)
         expected = np.zeros((len(basis), len(basis)))
@@ -137,6 +145,28 @@ class TestBuildHamiltonian:
         assert np.array_equal(dense != 0.0, expected != 0.0)
         scale = np.abs(expected).max()
         assert np.abs(dense - expected).max() <= 1e-14 * scale
+
+    def test_build_peak_memory_and_canonical_csr(self):
+        # tracemalloc counts this process's allocations, so the ratio does
+        # not depend on machine load.  The bound lies between one COO -> CSR
+        # conversion (about 2.4x the final CSR) and summing the COO, its
+        # transpose and the diagonal as sparse matrices (3.4x).
+        params = random_params(6, 66)
+        basis = enumerate_sector(6, 6)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            h = build_hamiltonian(params, basis).matrix
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        csr = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        assert basis.dimension == 5336
+        assert peak <= 2.75 * csr
+        assert h.has_canonical_format
+        assert h.indices.dtype == h.indptr.dtype == np.int32
+        assert np.all(h.data != 0.0)
 
     def test_dimension_mismatch(self):
         basis = enumerate_sector(3, 1)
