@@ -12,8 +12,6 @@ from .hamiltonian import (
     JchParameters,
     SparseHamiltonian,
     build_hamiltonian,
-    excitation_expectation,
-    sigma_z_expectation,
 )
 from .ion_chain import (
     ChainGeometry,

@@ -8,8 +8,10 @@ naming the line of any bad key, value or cell.  A run resolves the chain
 geometry, anchors the transverse trap frequency, derives per-ion
 couplings and detunings, builds the sector Hamiltonian, evolves, and
 writes timeseries.csv, modes.csv, t_matrix.csv, params.txt and plot.svg
-into the output directory.  All files are written atomically (temp +
-rename).
+into the output directory.  A scan runs its detunings one after another,
+one sub-run directory each.  The output directory is made only once the
+run has results, so a run that fails before then leaves none.  All files
+are written atomically (temp + rename).
 """
 
 import csv
@@ -325,7 +327,7 @@ def with_detuning(model, delta_khz):
 
 
 def run_model(model):
-    """Build the sector Hamiltonian and evolve; returns (basis, series)."""
+    """Build the sector Hamiltonian and evolve; returns the TimeSeries."""
     cfg = model.config
     try:
         basis = enumerate_sector(cfg.n_ions, cfg.excitations, cfg.dimension_cap)
@@ -340,8 +342,7 @@ def run_model(model):
         krylov_tol=cfg.krylov_tol,
         max_krylov_dim=cfg.max_krylov_dim,
     )
-    series = evolve(h, req, basis)
-    return basis, series
+    return evolve(h, req, basis)
 
 
 def write_params_txt(model, path):
@@ -370,25 +371,38 @@ def write_params_txt(model, path):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def run(config_path, output_dir=None, threads=1):
-    """Full pipeline for one config; returns the output directory."""
+def run(config_path, output_dir=None):
+    """Full pipeline for one config; returns the output directory.
+
+    A scan writes one sub-run per detuning, then the heat-map scan.csv.
+    """
     cfg = parse_config(config_path)
     out = output_dir or cfg.output_dir
     if out is None:
         base = os.path.splitext(os.path.basename(config_path))[0]
         out = os.path.join("out", base)
-    os.makedirs(out, exist_ok=True)
-
-    if cfg.delta_scan_khz:
-        return _run_scan(cfg, out, threads=threads)
-
     model = resolve_model(cfg)
-    basis, series = run_model(model)
-    _write_artifacts(model, series, out)
+    if not cfg.delta_scan_khz:
+        _write_artifacts(model, run_model(model), out)
+        return out
+
+    scan_ion = cfg.scan_ion or (cfg.n_ions + 1) // 2
+    lines = [f"time_us,delta_kHz,sz_ion{scan_ion}"]
+    for delta_khz in cfg.delta_scan_khz:
+        sub_model = with_detuning(model, delta_khz)
+        series = run_model(sub_model)
+        _write_artifacts(sub_model, series, os.path.join(out, _scan_subdir(delta_khz)))
+        for k in range(series.times.size):
+            lines.append(
+                f"{series.times[k] * 1e6:.17g},{delta_khz:.17g},"
+                f"{series.sigma_z[k, scan_ion - 1]:.17g}"
+            )
+    _atomic_write(os.path.join(out, "scan.csv"), "\n".join(lines) + "\n")
     return out
 
 
 def _write_artifacts(model, series, out):
+    os.makedirs(out, exist_ok=True)
     series.to_csv(os.path.join(out, "timeseries.csv"))
     modes_to_csv(model.modes_shifted, os.path.join(out, "modes.csv"))
     hopping_to_csv(model.modes_shifted, os.path.join(out, "t_matrix.csv"))
@@ -399,39 +413,6 @@ def _write_artifacts(model, series, out):
 def _scan_subdir(delta_khz):
     """Directory name of one scan sub-run."""
     return f"delta_{delta_khz:g}kHz"
-
-
-def _run_scan(cfg, out, threads=1):
-    """One sub-run per scan detuning plus a combined heat-map CSV."""
-    scan_ion = cfg.scan_ion or (cfg.n_ions + 1) // 2
-    deltas = list(cfg.delta_scan_khz)
-    chain = resolve_model(cfg)
-
-    def one(delta_khz):
-        model = with_detuning(chain, delta_khz)
-        _, series = run_model(model)
-        sub = os.path.join(out, _scan_subdir(delta_khz))
-        os.makedirs(sub, exist_ok=True)
-        _write_artifacts(model, series, sub)
-        return series
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, deltas))
-    else:
-        results = [one(d) for d in deltas]
-
-    lines = [f"time_us,delta_kHz,sz_ion{scan_ion}"]
-    for delta_khz, series in zip(deltas, results):
-        for k in range(series.times.size):
-            lines.append(
-                f"{series.times[k] * 1e6:.17g},{delta_khz:.17g},"
-                f"{series.sigma_z[k, scan_ion - 1]:.17g}"
-            )
-    _atomic_write(os.path.join(out, "scan.csv"), "\n".join(lines) + "\n")
-    return out
 
 
 def _read_columns(path, *names):

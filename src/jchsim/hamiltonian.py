@@ -135,21 +135,3 @@ def spin_sign_matrix(basis):
 def excitation_totals(basis):
     """(D,) spin-up count plus phonon number: <exc> = |v|^2 @ this."""
     return basis.spins.sum(axis=1) + basis.phonon_totals()
-
-
-def _probabilities(v, norm_tol):
-    v = np.asarray(v)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"state norm {nrm} deviates from 1 beyond {norm_tol}")
-    return np.abs(v) ** 2
-
-
-def sigma_z_expectation(basis, v, norm_tol=1e-8):
-    """Per-ion <sigma_z> for a normalized sector vector."""
-    return _probabilities(v, norm_tol) @ spin_sign_matrix(basis)
-
-
-def excitation_expectation(basis, v, norm_tol=1e-8):
-    """<total excitations> = spin-up count plus phonon number."""
-    return float(_probabilities(v, norm_tol) @ excitation_totals(basis))

@@ -81,8 +81,28 @@ class TestSimulate:
         scan = (out / "scan.csv").read_text().strip().splitlines()
         assert scan[0] == "time_us,delta_kHz,sz_ion1"
         assert len(scan) == 1 + 2 * 21
-        assert (out / "delta_-30kHz" / "timeseries.csv").exists()
-        assert (out / "delta_10kHz" / "timeseries.csv").exists()
+        # Each detuning's rows, in scan order, are its own sub-run's
+        # time_us and sz_ion1 cells.
+        expected = []
+        for delta in ("-30", "10"):
+            sub = (out / f"delta_{delta}kHz" / "timeseries.csv").read_text()
+            header, *rows = sub.strip().splitlines()
+            columns = header.split(",")
+            t, sz = columns.index("time_us"), columns.index("sz_ion1")
+            for row in rows:
+                cells = row.split(",")
+                expected.append(f"{cells[t]},{delta},{cells[sz]}")
+        assert scan[1:] == expected
+
+    @pytest.mark.parametrize("name", ["fig3h", "fig3i", "fig3j", "fig3k"])
+    def test_infeasible_shipped_config_leaves_no_output(
+        self, tmp_path, capsys, config_dir, name
+    ):
+        out = tmp_path / "x"
+        cfg = os.path.join(config_dir, f"{name}.cfg")
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 3
+        assert "dimension" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_delta_scan_threaded_matches_serial(self, tmp_path):
         text = SMALL_CFG + "delta_scan_kHz = -30,10\nscan_ion = 1\n"

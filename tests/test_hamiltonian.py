@@ -8,8 +8,8 @@ from jchsim.fock_basis import enumerate_sector
 from jchsim.hamiltonian import (
     JchParameters,
     build_hamiltonian,
-    excitation_expectation,
-    sigma_z_expectation,
+    excitation_totals,
+    spin_sign_matrix,
 )
 
 
@@ -265,37 +265,34 @@ class TestApply:
 
 
 class TestObservables:
+    # The operands evolve contracts each sample's probabilities with.
     def test_all_up_product_state(self):
         from jchsim.propagator import prepare_initial_state
 
         basis = enumerate_sector(3, 3)
-        v = prepare_initial_state(basis, [1, 2, 3])
-        assert sigma_z_expectation(basis, v) == pytest.approx([1.0, 1.0, 1.0])
+        probs = np.abs(prepare_initial_state(basis, [1, 2, 3])) ** 2
+        assert probs @ spin_sign_matrix(basis) == pytest.approx([1.0, 1.0, 1.0])
 
     def test_down_with_phonon(self):
         basis = enumerate_sector(1, 1)
-        v = np.zeros(2, dtype=complex)
-        v[0] = 1.0  # |down;1>
-        assert sigma_z_expectation(basis, v) == pytest.approx([-1.0])
+        probs = np.zeros(2)
+        probs[0] = 1.0  # |down;1>
+        assert probs @ spin_sign_matrix(basis) == pytest.approx([-1.0])
 
     def test_equal_superposition(self):
         basis = enumerate_sector(1, 1)
         v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        assert sigma_z_expectation(basis, v) == pytest.approx([0.0], abs=1e-15)
-
-    def test_rejects_unnormalized(self):
-        basis = enumerate_sector(1, 1)
-        with pytest.raises(ValueError):
-            sigma_z_expectation(basis, np.array([1.0, 1.0]))
+        probs = np.abs(v) ** 2
+        assert probs @ spin_sign_matrix(basis) == pytest.approx([0.0], abs=1e-15)
 
     def test_excitation_is_sector_constant(self):
         basis = enumerate_sector(3, 2)
         for seed in range(5):
-            v = random_state(len(basis), seed)
-            assert excitation_expectation(basis, v) == pytest.approx(2.0, abs=1e-10)
+            probs = np.abs(random_state(len(basis), seed)) ** 2
+            assert probs @ excitation_totals(basis) == pytest.approx(2.0, abs=1e-10)
 
     def test_excitation_on_basis_state(self):
         basis = enumerate_sector(4, 3)
-        v = np.zeros(len(basis), dtype=complex)
-        v[5] = 1.0
-        assert excitation_expectation(basis, v) == pytest.approx(3.0, abs=1e-12)
+        probs = np.zeros(len(basis))
+        probs[5] = 1.0
+        assert probs @ excitation_totals(basis) == pytest.approx(3.0, abs=1e-12)
