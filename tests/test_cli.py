@@ -6,9 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jchsim import propagator
 from jchsim.cli import main
-from jchsim.constants import TWO_PI, khz, to_khz
-from jchsim.experiment import ExperimentConfig
+from jchsim.constants import TWO_PI, khz, microseconds, to_khz
+from jchsim.experiment import (
+    JOINT_DIMENSION,
+    ExperimentConfig,
+    _scan_subdir,
+    parse_config,
+    resolve_model,
+    with_detuning,
+)
+from jchsim.fock_basis import enumerate_sector, sector_dimension
+from jchsim.hamiltonian import build_hamiltonian
+from jchsim.propagator import EvolutionRequest, evolve
 
 
 def write(path, text):
@@ -114,12 +125,16 @@ class TestSimulate:
         assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
 
 
-def small_cfg_with(override):
-    """SMALL_CFG's lines with the override's keys replaced by its lines, last."""
+def cfg_with(text, override):
+    """text's lines with the override's keys replaced by its lines, last."""
     keys = {line.split("=")[0].strip() for line in override.splitlines()}
-    kept = [line for line in SMALL_CFG.splitlines()
+    kept = [line for line in text.splitlines()
             if line.split("=")[0].strip() not in keys]
     return kept + override.splitlines()
+
+
+def small_cfg_with(override):
+    return cfg_with(SMALL_CFG, override)
 
 
 def spectrum_csv(modes):
@@ -286,3 +301,121 @@ def test_unit_roundtrip_exact():
     for value in (11.6, -60.0, 2.718e3, 0.3):
         assert abs(to_khz(khz(value)) - value) <= 1e-12 * abs(value)
     assert khz(1.0) == TWO_PI * 1e3
+
+
+def scan_cfg_with(tmp_path, config_dir, override):
+    text = Path(config_dir, "fig3a_scan.cfg").read_text()
+    return write(tmp_path / "scan.cfg", "\n".join(cfg_with(text, override)) + "\n")
+
+
+def per_detuning_series(cfg_path, method):
+    """Each scan detuning of the config evolved alone: {delta_kHz: TimeSeries}."""
+    cfg = parse_config(cfg_path)
+    model = resolve_model(cfg)
+    basis = enumerate_sector(cfg.n_ions, cfg.excitations)
+    req = EvolutionRequest(
+        total_time=microseconds(cfg.total_time_us), samples=cfg.samples,
+        excited_ions=cfg.excited_ions, method=method,
+        krylov_tol=cfg.krylov_tol, max_krylov_dim=cfg.max_krylov_dim,
+    )
+    return {
+        d: evolve(build_hamiltonian(with_detuning(model, d).params, basis), req, basis)
+        for d in cfg.delta_scan_khz
+    }
+
+
+def record_lanczos_steps(monkeypatch):
+    """Log (vector length, matvecs, accepted) for every Lanczos step."""
+    log = []
+    step = propagator._lanczos_step
+
+    def logged(matvec, v, *args, **kwargs):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return matvec(x)
+
+        result = step(counted, v, *args, **kwargs)
+        log.append((v.size, calls[0], result[0] is not None))
+        return result
+
+    monkeypatch.setattr(propagator, "_lanczos_step", logged)
+    return log
+
+
+class TestJointScan:
+    """A scan's detunings are evolved together as one block-diagonal system."""
+
+    # Detunings spanning +-600 kHz: the joint first attempt at each sample
+    # interval exceeds max_krylov_dim, so the step halves.
+    WIDE = (
+        "delta_scan_kHz = " + ",".join(str(d) for d in range(-600, 601, 100))
+        + "\ntotal_time_us = 100\nsamples = 11"
+    )
+
+    @pytest.mark.parametrize("override", ["", WIDE], ids=["fig3a_scan", "wide"])
+    def test_matches_dense_and_serial(self, tmp_path, monkeypatch, config_dir,
+                                      override):
+        cfg = scan_cfg_with(tmp_path, config_dir, override)
+        out = tmp_path / "out"
+        log = record_lanczos_steps(monkeypatch)
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 0
+        joint = list(log)
+        monkeypatch.undo()
+        deltas = parse_config(cfg).delta_scan_khz
+        assert {size for size, _, _ in joint} == {len(deltas) * 192}
+        if override:
+            assert not all(accepted for _, _, accepted in joint)
+        dense = per_detuning_series(cfg, "dense-oracle")
+        serial = per_detuning_series(cfg, "krylov")
+        for d in deltas:
+            rows = np.loadtxt(out / _scan_subdir(d) / "timeseries.csv",
+                              delimiter=",", skiprows=1)
+            sz = rows[:, 1:-2]
+            assert np.max(np.abs(sz - dense[d].sigma_z)) <= 1e-10
+            assert np.max(np.abs(sz - serial[d].sigma_z)) <= 1e-10
+            assert rows[:, -2].max() <= 1e-11  # norm drift
+            assert rows[:, -1].max() <= 1e-11  # excitation drift
+
+    def test_fig3a_scan_matvecs(self, tmp_path, monkeypatch, config_dir):
+        log = record_lanczos_steps(monkeypatch)
+        cfg = os.path.join(config_dir, "fig3a_scan.cfg")
+        assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+        # 35,500 when each detuning is evolved alone
+        assert sum(calls for _, calls, _ in log) <= 4000
+
+    def test_one_detuning_scan_matches_plain_run(self, tmp_path, config_dir):
+        scan = scan_cfg_with(tmp_path, config_dir, "delta_scan_kHz = -45")
+        plain = write(
+            tmp_path / "plain.cfg",
+            "\n".join(line for line in cfg_with(
+                Path(scan).read_text(), "delta_kHz = -45") if "delta_scan" not in line)
+            + "\n",
+        )
+        a, b = tmp_path / "scan", tmp_path / "plain"
+        assert main(["simulate", scan, "--output-dir", str(a)]) == 0
+        assert main(["simulate", plain, "--output-dir", str(b)]) == 0
+        assert (a / "delta_-45kHz" / "timeseries.csv").read_bytes() == (
+            b / "timeseries.csv").read_bytes()
+
+    def test_sector_beyond_group_evolves_alone(self, tmp_path, monkeypatch):
+        assert sector_dimension(6, 6) > JOINT_DIMENSION
+        base = small_cfg_with(
+            "n_ions = 6\nexcitations = 6\nspacings_um = 6,5.6,5.5,5.6,6\n"
+            "total_time_us = 10\nsamples = 3"
+        )
+        scan = write(tmp_path / "scan.cfg",
+                     "\n".join(base + ["delta_scan_kHz = -30,10"]) + "\n")
+        log = record_lanczos_steps(monkeypatch)
+        assert main(["simulate", scan, "--output-dir", str(tmp_path / "scan")]) == 0
+        assert {size for size, _, _ in log} == {sector_dimension(6, 6)}
+        for d in ("-30", "10"):
+            single = write(tmp_path / f"{d}.cfg",
+                           "\n".join(cfg_with("\n".join(base), f"delta_kHz = {d}"))
+                           + "\n")
+            out = tmp_path / d
+            assert main(["simulate", single, "--output-dir", str(out)]) == 0
+            sub = tmp_path / "scan" / f"delta_{d}kHz"
+            for name in ("timeseries.csv", "params.txt", "plot.svg"):
+                assert (sub / name).read_bytes() == (out / name).read_bytes(), name
