@@ -10,9 +10,9 @@ couplings and detunings, builds the sector Hamiltonian, evolves, and
 writes timeseries.csv, modes.csv, t_matrix.csv, params.txt and plot.svg
 into the output directory.  A scan evolves its detunings in groups, each
 group as one block-diagonal system, and writes one sub-run directory per
-detuning.  The output directory is made only once the
-run has results, so a run that fails before then leaves none.  All files
-are written atomically (temp + rename).
+detuning.  The output directory is made only once the run has results,
+so a run that fails before then leaves none.  All files are written
+atomically (temp + rename).
 """
 
 import csv

@@ -224,6 +224,19 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
     return v * np.exp(-1j * shift * t_target)
 
 
+@dataclass(frozen=True)
+class _BlockDiagonal:
+    """Hamiltonians on one basis as one operator for propagate_krylov.
+
+    mean_diagonal holds each row's own block mean, so every block is
+    centred as it would be alone and the detunings' different means do
+    not widen the stacked spectrum.
+    """
+
+    matrix: object  # scipy CSR, float64
+    mean_diagonal: np.ndarray
+
+
 def evolve(h, req, basis):
     """Sample per-ion <sigma_z> on a uniform grid under the Hamiltonian.
 
@@ -247,8 +260,13 @@ def evolve(h, req, basis):
             )
         eigs = [np.linalg.eigh(x.dense()) for x in hs]
         coeffs = [evecs.conj().T @ v0 for _, evecs in eigs]
+    elif blocks == 1:
+        stacked, tol = hs[0], req.krylov_tol
     else:
-        stacked = _block_diagonal(hs)
+        stacked = _BlockDiagonal(
+            matrix=sp.block_diag([x.matrix for x in hs], format="csr"),
+            mean_diagonal=np.repeat([x.mean_diagonal for x in hs], dim),
+        )
         # The estimate is relative to the stacked norm sqrt(B), so this
         # keeps the absolute error of the whole stacked vector, and so of
         # each block, within krylov_tol.
@@ -299,25 +317,3 @@ def evolve(h, req, basis):
         for b in range(blocks)
     ]
     return series if isinstance(h, list) else series[0]
-
-
-@dataclass(frozen=True)
-class _BlockDiagonal:
-    """Hamiltonians on one basis as one operator for propagate_krylov.
-
-    mean_diagonal holds each row's own block mean, so every block is
-    centred as it would be alone and the detunings' different means do
-    not widen the stacked spectrum.
-    """
-
-    matrix: object  # scipy CSR, float64
-    mean_diagonal: np.ndarray
-
-
-def _block_diagonal(hs):
-    if len(hs) == 1:
-        return hs[0]
-    return _BlockDiagonal(
-        matrix=sp.block_diag([x.matrix for x in hs], format="csr"),
-        mean_diagonal=np.repeat([x.mean_diagonal for x in hs], hs[0].matrix.shape[0]),
-    )

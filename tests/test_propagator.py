@@ -204,6 +204,32 @@ class TestEvolve:
         assert np.all(np.abs(series.sigma_z) <= 1.0 + 1e-8)
 
 
+class TestEvolveList:
+    """evolve on a list of Hamiltonians, one block per detuning."""
+
+    @staticmethod
+    def detuned(basis, h, delta_khz):
+        p = h.params
+        params = JchParameters(np.full(p.n_ions, khz(delta_khz)),
+                               p.local_frequencies, p.couplings, p.hoppings)
+        return build_hamiltonian(params, basis)
+
+    def test_blocks_match_single_evolutions(self):
+        basis, h = fig2a_model()
+        hs = [self.detuned(basis, h, d) for d in (-90.0, -60.0, 20.0)]
+        kw = dict(total_time=5e-4, samples=26, excited_ions=[1, 2],
+                  store_states=True)
+        for method, tol in (("dense-oracle", 0.0), ("krylov", 1e-10)):
+            req = EvolutionRequest(method=method, **kw)
+            joint = evolve(hs, req, basis)
+            assert len(joint) == len(hs)
+            for x, series in zip(hs, joint):
+                alone = evolve(x, req, basis)
+                assert series.states.shape == alone.states.shape
+                assert np.max(np.abs(series.states - alone.states)) <= tol
+                assert np.max(np.abs(series.sigma_z - alone.sigma_z)) <= tol
+
+
 def shifted_matvec(h):
     """The operator propagate_krylov exponentiates: H minus its mean diagonal."""
     shift = h.mean_diagonal
