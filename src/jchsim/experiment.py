@@ -10,9 +10,11 @@ couplings and detunings, builds the sector Hamiltonian, evolves, and
 writes timeseries.csv, modes.csv, t_matrix.csv, params.txt and plot.svg
 into the output directory.  A scan evolves its detunings in groups, each
 group as one block-diagonal system, and writes one sub-run directory per
-detuning.  The output directory is made only once the run has results,
-so a run that fails before then leaves none.  All files are written
-atomically (temp + rename).
+detuning; a single run is a scan of one detuning written into the output
+directory itself.  The output directory is made only once the run has
+results, so a run that fails before then leaves none.  This module is
+the only one that knows the artifact formats (svgplot draws the plot) or
+writes files, and it writes each file atomically (temp + rename).
 """
 
 import csv
@@ -21,7 +23,16 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import calibration, svgplot
-from .constants import khz, mhz, microns, microseconds, to_khz, to_mhz, to_microns
+from .constants import (
+    khz,
+    mhz,
+    microns,
+    microseconds,
+    to_khz,
+    to_mhz,
+    to_microns,
+    to_microseconds,
+)
 from .fock_basis import (
     DEFAULT_DIMENSION_CAP,
     SectorCapError,
@@ -35,14 +46,11 @@ from .ion_chain import (
     TrapParameters,
     ZigzagError,
     anchor_transverse_frequency,
-    hopping_to_csv,
     interaction_picture_shift,
     mode_parameters,
-    modes_to_csv,
     equilibrium_positions,
 )
 from .propagator import DENSE_ORACLE_CAP, EvolutionRequest, evolve
-from .textio import write_text_atomic as _atomic_write
 
 # Largest joint dimension of the scan detunings evolved as one
 # block-diagonal Krylov system.  Joint evolution pays where per-call
@@ -252,9 +260,7 @@ class ResolvedModel:
     geometry: ChainGeometry
     transverse_frequency: float
     modes_shifted: ModeData
-    site: calibration.SiteParameters
     params: JchParameters
-    dimension: int
 
 
 def resolve_model(cfg):
@@ -295,9 +301,7 @@ def resolve_model(cfg):
         geometry=geometry,
         transverse_frequency=wx,
         modes_shifted=shifted,
-        site=None,
         params=None,
-        dimension=sector_dimension(cfg.n_ions, cfg.excitations),
     )
     return with_detuning(chain, cfg.delta_khz)
 
@@ -332,60 +336,17 @@ def with_detuning(model, delta_khz):
         couplings=site.couplings,
         hoppings=model.modes_shifted.corrected_hopping,
     )
-    return replace(model, site=site, params=params)
-
-
-def run_group(models, basis):
-    """Build each model's sector Hamiltonian and evolve them together.
-
-    The models differ only in their detunings.  Returns their TimeSeries
-    in order.
-    """
-    cfg = models[0].config
-    req = EvolutionRequest(
-        total_time=microseconds(cfg.total_time_us),
-        samples=cfg.samples,
-        excited_ions=cfg.excited_ions,
-        method=cfg.method,
-        krylov_tol=cfg.krylov_tol,
-        max_krylov_dim=cfg.max_krylov_dim,
-    )
-    return evolve([build_hamiltonian(m.params, basis) for m in models], req, basis)
-
-
-def write_params_txt(model, path):
-    """Fully resolved parameters, enough to reproduce the run."""
-    cfg = model.config
-    lines = [
-        f"n_ions = {cfg.n_ions}",
-        f"excitations = {cfg.excitations}",
-        f"excited_ions = {','.join(str(i) for i in cfg.excited_ions)}",
-        f"dimension = {model.dimension}",
-        f"geometry_source = {model.geometry.source}",
-        f"transverse_MHz = {to_mhz(model.transverse_frequency):.17g}",
-        f"method = {cfg.method}",
-        f"krylov_tol = {cfg.krylov_tol:.17g}",
-        f"total_time_us = {cfg.total_time_us:.17g}",
-        f"samples = {cfg.samples}",
-    ]
-    z_um = [f"{to_microns(z):.17g}" for z in model.geometry.positions]
-    lines.append("positions_um = " + ",".join(z_um))
-    for i in range(cfg.n_ions):
-        lines.append(
-            f"ion{i + 1}: g_kHz = {to_khz(model.site.couplings[i]):.17g}, "
-            f"delta_kHz = {to_khz(model.site.detunings[i]):.17g}, "
-            f"omega_tilde_kHz = {to_khz(model.modes_shifted.corrected_local[i]):.17g}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return replace(model, params=params)
 
 
 def run(config_path, output_dir=None):
     """Full pipeline for one config; returns the output directory.
 
-    A scan writes one sub-run per detuning, then the heat-map scan.csv.
-    Its detunings are evolved in scan-order groups of at most
-    JOINT_DIMENSION joint rows; a group's sub-runs are written once the
-    whole group has evolved.
+    A config without delta_scan_kHz runs as a scan of its one detuning
+    whose sub-run is the output directory itself.  A scan writes one
+    sub-run per detuning, then the heat-map scan.csv.  Its detunings are
+    evolved in scan-order groups of at most JOINT_DIMENSION joint rows;
+    a group's sub-runs are written once the whole group has evolved.
     """
     cfg = parse_config(config_path)
     out = output_dir or cfg.output_dir
@@ -397,38 +358,130 @@ def run(config_path, output_dir=None):
         basis = enumerate_sector(cfg.n_ions, cfg.excitations, cfg.dimension_cap)
     except SectorCapError as exc:
         raise InfeasibleError(str(exc)) from exc
-    if not cfg.delta_scan_khz:
-        [series] = run_group([model], basis)
-        _write_artifacts(model, series, out)
-        return out
-
-    scan_ion = cfg.scan_ion or (cfg.n_ions + 1) // 2
-    lines = [f"time_us,delta_kHz,sz_ion{scan_ion}"]
-    deltas = cfg.delta_scan_khz
+    req = EvolutionRequest(
+        total_time=microseconds(cfg.total_time_us),
+        samples=cfg.samples,
+        excited_ions=cfg.excited_ions,
+        method=cfg.method,
+        krylov_tol=cfg.krylov_tol,
+        max_krylov_dim=cfg.max_krylov_dim,
+    )
+    scan = cfg.delta_scan_khz
+    deltas = scan or [cfg.delta_khz]
+    runs = []  # (delta_kHz, TimeSeries) per sub-run, in scan order
     size = max(1, JOINT_DIMENSION // basis.dimension)
     for start in range(0, len(deltas), size):
         chunk = deltas[start : start + size]
         group = [with_detuning(model, d) for d in chunk]
-        for delta_khz, sub_model, series in zip(chunk, group, run_group(group, basis)):
-            _write_artifacts(
-                sub_model, series, os.path.join(out, _scan_subdir(delta_khz))
-            )
-            for k in range(series.times.size):
-                lines.append(
-                    f"{series.times[k] * 1e6:.17g},{delta_khz:.17g},"
-                    f"{series.sigma_z[k, scan_ion - 1]:.17g}"
-                )
-    _atomic_write(os.path.join(out, "scan.csv"), "\n".join(lines) + "\n")
+        hamiltonians = [build_hamiltonian(m.params, basis) for m in group]
+        for delta_khz, sub_model, series in zip(
+            chunk, group, evolve(hamiltonians, req, basis)
+        ):
+            sub = os.path.join(out, _scan_subdir(delta_khz)) if scan else out
+            _write_artifacts(sub_model, series, sub)
+            runs.append((delta_khz, series))
+    if scan:
+        _atomic_write(os.path.join(out, "scan.csv"), _scan_csv(cfg, runs))
     return out
 
 
+def _atomic_write(path, text):
+    """Write via a temp file and rename, so readers never see a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def _write_artifacts(model, series, out):
+    """Format one run's artifacts and write each into out atomically."""
     os.makedirs(out, exist_ok=True)
-    series.to_csv(os.path.join(out, "timeseries.csv"))
-    modes_to_csv(model.modes_shifted, os.path.join(out, "modes.csv"))
-    hopping_to_csv(model.modes_shifted, os.path.join(out, "t_matrix.csv"))
-    write_params_txt(model, os.path.join(out, "params.txt"))
-    svgplot.write_timeseries_svg(series, os.path.join(out, "plot.svg"))
+    files = {
+        "timeseries.csv": _timeseries_csv(series),
+        "modes.csv": _modes_csv(model.modes_shifted),
+        "t_matrix.csv": _t_matrix_csv(model.modes_shifted),
+        "params.txt": _params_txt(model),
+        "plot.svg": svgplot.timeseries_svg(series),
+    }
+    for name, text in files.items():
+        _atomic_write(os.path.join(out, name), text)
+
+
+def _timeseries_csv(series):
+    """CSV: time_us, sz_ion1..N, norm_drift, excitation_drift."""
+    n = series.sigma_z.shape[1]
+    header = (
+        "time_us,"
+        + ",".join(f"sz_ion{i + 1}" for i in range(n))
+        + ",norm_drift,excitation_drift"
+    )
+    lines = [header]
+    for k in range(series.times.size):
+        cells = [f"{to_microseconds(series.times[k]):.17g}"]
+        cells += [f"{v:.17g}" for v in series.sigma_z[k]]
+        cells.append(f"{series.norm_drift[k]:.17g}")
+        cells.append(f"{series.excitation_drift[k]:.17g}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _modes_csv(modes):
+    """Per-ion bare and corrected local frequencies as CSV (kHz columns)."""
+    lines = ["ion_index,omega_i_kHz,omega_tilde_i_kHz"]
+    for i in range(modes.n_ions):
+        lines.append(
+            f"{i + 1},{to_khz(modes.local_frequencies[i]):.17g},"
+            f"{to_khz(modes.corrected_local[i]):.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _t_matrix_csv(modes):
+    """The corrected hopping matrix as a dense CSV in kHz."""
+    lines = []
+    for row in modes.corrected_hopping:
+        lines.append(",".join(f"{to_khz(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _params_txt(model):
+    """Fully resolved parameters, enough to reproduce the run."""
+    cfg = model.config
+    lines = [
+        f"n_ions = {cfg.n_ions}",
+        f"excitations = {cfg.excitations}",
+        f"excited_ions = {','.join(str(i) for i in cfg.excited_ions)}",
+        f"dimension = {sector_dimension(cfg.n_ions, cfg.excitations)}",
+        f"geometry_source = {model.geometry.source}",
+        f"transverse_MHz = {to_mhz(model.transverse_frequency):.17g}",
+        f"method = {cfg.method}",
+        f"krylov_tol = {cfg.krylov_tol:.17g}",
+        f"total_time_us = {cfg.total_time_us:.17g}",
+        f"samples = {cfg.samples}",
+    ]
+    z_um = [f"{to_microns(z):.17g}" for z in model.geometry.positions]
+    lines.append("positions_um = " + ",".join(z_um))
+    p = model.params
+    for i in range(cfg.n_ions):
+        lines.append(
+            f"ion{i + 1}: g_kHz = {to_khz(p.couplings[i]):.17g}, "
+            f"delta_kHz = {to_khz(p.detunings[i]):.17g}, "
+            f"omega_tilde_kHz = {to_khz(p.local_frequencies[i]):.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _scan_csv(cfg, runs):
+    """Heat map: sigma_z of the scan ion per (time, detuning) sub-run."""
+    scan_ion = cfg.scan_ion or (cfg.n_ions + 1) // 2
+    lines = [f"time_us,delta_kHz,sz_ion{scan_ion}"]
+    for delta_khz, series in runs:
+        for k in range(series.times.size):
+            lines.append(
+                f"{to_microseconds(series.times[k]):.17g},{delta_khz:.17g},"
+                f"{series.sigma_z[k, scan_ion - 1]:.17g}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def _scan_subdir(delta_khz):

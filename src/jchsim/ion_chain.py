@@ -13,7 +13,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .constants import COULOMB_CONSTANT, YB171_MASS
-from .textio import write_text_atomic
 
 # Damped Newton iteration limit and relative force residual for the
 # equilibrium solve.
@@ -186,13 +185,6 @@ def equilibrium_positions(trap, n_ions):
     return ChainGeometry(positions=z, source="solved-from-trap")
 
 
-def force_residual(trap, geometry):
-    """Relative force-balance residual of a geometry in the given trap."""
-    u = geometry.positions / trap.length_scale()
-    f = _dimensionless_force(u, trap.axial_quartic)
-    return np.max(np.abs(f)) / max(1.0, np.max(np.abs(u)))
-
-
 def mode_parameters(transverse_frequency, geometry):
     """Local frequencies, hoppings, tilde corrections and collective modes.
 
@@ -271,26 +263,3 @@ def anchor_transverse_frequency(geometry, top_mode):
 
     width = 0.02 * top_mode
     return brentq(top_of, top_mode - width, top_mode + width, xtol=1e-6)
-
-
-def modes_to_csv(modes, path):
-    """Write per-ion frequencies as CSV (kHz columns)."""
-    from .constants import to_khz
-
-    lines = ["ion_index,omega_i_kHz,omega_tilde_i_kHz"]
-    for i in range(modes.n_ions):
-        lines.append(
-            f"{i + 1},{to_khz(modes.local_frequencies[i]):.17g},"
-            f"{to_khz(modes.corrected_local[i]):.17g}"
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def hopping_to_csv(modes, path):
-    """Write the corrected hopping matrix as a dense CSV in kHz."""
-    from .constants import to_khz
-
-    lines = []
-    for row in modes.corrected_hopping:
-        lines.append(",".join(f"{to_khz(v):.17g}" for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -16,9 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstevd
 
-from .constants import to_microseconds
 from .hamiltonian import excitation_totals, spin_sign_matrix
-from .textio import write_text_atomic
 
 DENSE_ORACLE_CAP = 2000
 # A Lanczos iteration computes its exact error estimate only when the
@@ -66,23 +64,6 @@ class TimeSeries:
     norm_drift: np.ndarray          # |  ||v|| - 1  | per sample
     excitation_drift: np.ndarray    # | <exc> - M | per sample
     states: np.ndarray = None       # optional (samples, D) complex
-
-    def to_csv(self, path):
-        """CSV: time_us, sz_ion1..N, norm_drift, excitation_drift."""
-        n = self.sigma_z.shape[1]
-        header = (
-            "time_us,"
-            + ",".join(f"sz_ion{i + 1}" for i in range(n))
-            + ",norm_drift,excitation_drift"
-        )
-        lines = [header]
-        for k in range(self.times.size):
-            cells = [f"{to_microseconds(self.times[k]):.17g}"]
-            cells += [f"{v:.17g}" for v in self.sigma_z[k]]
-            cells.append(f"{self.norm_drift[k]:.17g}")
-            cells.append(f"{self.excitation_drift[k]:.17g}")
-            lines.append(",".join(cells))
-        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def prepare_initial_state(basis, excited_ions):

@@ -1,6 +1,7 @@
-"""Minimal SVG 1.1 line plots, no plotting dependency."""
+"""Minimal SVG 1.1 line plots as text, no plotting dependency.
 
-from .textio import write_text_atomic
+The caller writes the text; this module only knows the SVG format.
+"""
 
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -11,8 +12,8 @@ _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 150, 30, 50
 
 
-def write_timeseries_svg(series, path, title="per-ion <sigma_z>"):
-    """One polyline per ion of <sigma_z>(t), fixed [-1, 1] y-axis."""
+def timeseries_svg(series):
+    """SVG text: one polyline per ion of <sigma_z>(t), fixed [-1, 1] y-axis."""
     times_us = series.times * 1e6
     t0, t1 = float(times_us[0]), float(times_us[-1])
     if t1 == t0:
@@ -29,7 +30,7 @@ def write_timeseries_svg(series, path, title="per-ion <sigma_z>"):
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_ML}" y="20" font-size="14">{title}</text>',
+        f'<text x="{_ML}" y="20" font-size="14">per-ion &lt;sigma_z&gt;</text>',
     ]
     # axes box and reference lines
     parts.append(
@@ -81,4 +82,4 @@ def write_timeseries_svg(series, path, title="per-ion <sigma_z>"):
             )
     parts.append("</svg>")
 
-    write_text_atomic(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

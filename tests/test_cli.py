@@ -2,11 +2,12 @@ import dataclasses
 import os
 import re
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from jchsim import propagator
+from jchsim import experiment, propagator
 from jchsim.cli import main
 from jchsim.constants import TWO_PI, khz, microseconds, to_khz
 from jchsim.experiment import (
@@ -114,6 +115,39 @@ class TestSimulate:
         assert main(["simulate", cfg, "--output-dir", str(out)]) == 3
         assert "dimension" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_artifact_written_once_through_atomic_write(
+        self, tmp_path, monkeypatch
+    ):
+        written = []
+        atomic_write = experiment._atomic_write
+
+        def recorded(path, text):
+            written.append(Path(path))
+            atomic_write(path, text)
+
+        monkeypatch.setattr(experiment, "_atomic_write", recorded)
+        text = SMALL_CFG + "delta_scan_kHz = -30,10\n"
+        cfg = write(tmp_path / "scan.cfg", text)
+        out = tmp_path / "scan_out"
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 0
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        assert len(files) == 2 * 5 + 1  # five per sub-run, plus scan.csv
+        assert sorted(written) == files
+        assert not list(out.rglob("*.tmp"))
+
+    def test_plot_svg_is_well_formed_xml(self, tmp_path):
+        text = SMALL_CFG + "delta_scan_kHz = -30,10\n"
+        cfg = write(tmp_path / "scan.cfg", text)
+        out = tmp_path / "scan_out"
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 0
+        plots = sorted(out.rglob("plot.svg"))
+        assert len(plots) == 2
+        for plot in plots:
+            root = ElementTree.parse(plot).getroot()
+            assert root.tag == "{http://www.w3.org/2000/svg}svg"
+            title = root.find("{http://www.w3.org/2000/svg}text").text
+            assert title == "per-ion <sigma_z>"
 
     def test_delta_scan_threaded_matches_serial(self, tmp_path):
         text = SMALL_CFG + "delta_scan_kHz = -30,10\nscan_ion = 1\n"

@@ -1,3 +1,6 @@
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,32 @@ from jchsim.ion_chain import (
     anchor_transverse_frequency,
     collective_spectrum_from,
     equilibrium_positions,
-    force_residual,
     interaction_picture_shift,
     mode_parameters,
 )
 
 TRAP = TrapParameters(transverse_frequency=mhz(2.7), axial_quadratic=khz(100))
+
+
+def force_residual(trap, geometry):
+    """Relative force-balance residual, summed ion by ion in SI units.
+
+    The net axial force on each ion comes from the trap potential
+    (1/2) m wz^2 z^2 + m wz^2 q z^4 / l^2 and the pairwise Coulomb
+    repulsion.  The largest, in units of k_C / l^2 = m wz^2 l, is divided
+    by max(1, max |z| / l).
+    """
+    m_wz2 = YB171_MASS * trap.axial_quadratic**2
+    ell = trap.length_scale()
+    z = list(geometry.positions)
+    forces = []
+    for i, zi in enumerate(z):
+        force = -m_wz2 * zi - 4.0 * m_wz2 * trap.axial_quartic * zi**3 / ell**2
+        for j, zj in enumerate(z):
+            if j != i:
+                force += math.copysign(COULOMB_CONSTANT, zi - zj) / (zi - zj) ** 2
+        forces.append(abs(force) / (m_wz2 * ell))
+    return max(forces) / max(1.0, max(abs(zi) for zi in z) / ell)
 
 
 class TestEquilibriumPositions:
@@ -216,20 +239,16 @@ class TestInteractionPictureShift:
         assert np.allclose(shifted.hopping, modes.hopping)
 
 
-def test_modes_csv_roundtrip(tmp_path):
-    from jchsim.ion_chain import hopping_to_csv, modes_to_csv
+def test_modes_csv_roundtrip():
+    from jchsim.experiment import _modes_csv, _t_matrix_csv
 
     geo = equilibrium_positions(TRAP, 3)
     modes = mode_parameters(TRAP.transverse_frequency, geo)
-    mpath = tmp_path / "modes.csv"
-    tpath = tmp_path / "t.csv"
-    modes_to_csv(modes, str(mpath))
-    hopping_to_csv(modes, str(tpath))
-    rows = mpath.read_text().strip().splitlines()
+    rows = _modes_csv(modes).strip().splitlines()
     assert rows[0] == "ion_index,omega_i_kHz,omega_tilde_i_kHz"
     assert len(rows) == 4
     got = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert got == pytest.approx(to_khz(modes.local_frequencies), rel=1e-12)
-    t = np.loadtxt(str(tpath), delimiter=",")
+    t = np.loadtxt(io.StringIO(_t_matrix_csv(modes)), delimiter=",")
     assert t.shape == (3, 3)
     assert t == pytest.approx(to_khz(modes.corrected_hopping), rel=1e-12)

@@ -373,13 +373,13 @@ class TestAverageSigmaZ:
         assert avg == pytest.approx(series.sigma_z[:, 0], abs=1e-10)
 
 
-def test_timeseries_csv_format(tmp_path):
+def test_timeseries_csv_format():
+    from jchsim.experiment import _timeseries_csv
+
     basis, h = fig2a_model()
     req = EvolutionRequest(total_time=1e-4, samples=5, excited_ions=[1, 2])
     series = evolve(h, req, basis)
-    path = tmp_path / "ts.csv"
-    series.to_csv(str(path))
-    rows = path.read_text().strip().splitlines()
+    rows = _timeseries_csv(series).strip().splitlines()
     assert rows[0] == "time_us,sz_ion1,sz_ion2,norm_drift,excitation_drift"
     assert len(rows) == 6
     first = rows[1].split(",")
