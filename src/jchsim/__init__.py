@@ -2,7 +2,6 @@
 
 from .calibration import (
     LaserProfile,
-    SiteParameters,
     derive_site_parameters,
     fit_beam_profile,
     fit_chain_from_spectrum,

@@ -3,14 +3,15 @@
 Three concerns live here: recovering trap parameters (and hence the
 chain geometry) from a measured collective mode spectrum, fitting the
 Gaussian drive profile from per-ion Rabi frequencies, and turning a
-profile plus geometry into per-ion couplings g_i and detunings Delta_i.
+profile plus geometry into per-ion couplings g_i and Stark offsets,
+which give the detunings Delta_i once a central detuning is added.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, least_squares
+from scipy.optimize import least_squares
 
 from .constants import COULOMB_CONSTANT, TWO_PI, YB171_MASS
 from .ion_chain import (
@@ -66,22 +67,6 @@ class LaserProfile:
         return self.stark_amplitude * np.exp(
             -4.0 * (np.asarray(z) - self.beam_center) ** 2 / self.waist**2
         )
-
-
-@dataclass(frozen=True)
-class SiteParameters:
-    """Per-ion couplings and detunings, angular rad/s."""
-
-    couplings: np.ndarray
-    detunings: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-        object.__setattr__(self, "detunings", np.asarray(self.detunings, dtype=float))
-        if self.couplings.shape != self.detunings.shape:
-            raise ValueError("couplings and detunings must have the same length")
-        if not np.all((self.couplings > 0) & np.isfinite(self.couplings)):
-            raise ValueError("couplings must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -188,39 +173,37 @@ def fit_beam_profile(positions, rabi_measured):
             peak_rabi=float(rabi.mean()), waist=math.inf, beam_center=0.0
         )
 
-    def model(zz, peak, center, sigma):
-        return peak * np.exp(-2.0 * (zz - center) ** 2 / sigma**2)
+    def residuals(p):
+        peak, center, sigma = p
+        return peak * np.exp(-2.0 * (z - center) ** 2 / sigma**2) - rabi
 
     w = np.clip(rabi, 1e-300, None)
     center0 = float((z * w).sum() / w.sum())
     sigma0 = 2.0 * math.sqrt(float((w * (z - center0) ** 2).sum() / w.sum()))
     sigma0 = max(sigma0, 1e-2 * (z.max() - z.min()))
-    try:
-        import warnings
-
-        from scipy.optimize import OptimizeWarning
-
-        with warnings.catch_warnings():
-            # Noiseless data fits exactly; the covariance warning is moot.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                model, z, rabi, p0=[float(rabi.max()), center0, sigma0], maxfev=20000
-            )
-    except RuntimeError as exc:
-        raise FitError(f"beam profile fit failed: {exc}") from exc
-    peak, center, sigma = popt
+    # x_scale="jac": MINPACK scales the columns itself, since the peak
+    # (rad/s) and the lengths (m) differ by about nine decades
+    fit = least_squares(
+        residuals, [float(rabi.max()), center0, sigma0], method="lm",
+        x_scale="jac", max_nfev=20000,
+    )
+    if not fit.success:
+        raise FitError(f"beam profile fit failed: {fit.message}")
+    peak, center, sigma = fit.x
     return LaserProfile(
         peak_rabi=float(abs(peak)), waist=float(abs(sigma)), beam_center=float(center)
     )
 
 
-def derive_site_parameters(profile, geometry, g_central, delta_central):
-    """Per-ion g_i and Delta_i from the drive profile and geometry.
+def derive_site_parameters(profile, geometry, g_central):
+    """Per-ion couplings g_i and Stark offsets from the drive profile and geometry.
 
     g_i scales with the amplitude profile normalized at the chain
-    center (the middle ion for odd N, the beam center for even N);
-    Delta_i adds the Stark-shift profile difference to the central
-    detuning.
+    center (the middle ion for odd N, the beam center for even N).  The
+    Stark offset is the Stark-shift profile minus its value there, so
+    ion i's detuning is the central detuning plus its offset.  Returns
+    (couplings, stark_offsets), both in rad/s; raises ValueError unless
+    every coupling is positive and finite.
     """
     if g_central <= 0:
         raise ValueError("g_central must be positive")
@@ -231,11 +214,9 @@ def derive_site_parameters(profile, geometry, g_central, delta_central):
     else:
         z_c = profile.beam_center
 
-    # an amplitude that underflows at z_c gives a non-finite ratio, which
-    # SiteParameters refuses
+    # an amplitude that underflows at z_c gives a non-finite ratio
     with np.errstate(divide="ignore", invalid="ignore"):
-        amp_ratio = profile.amplitude(z) / profile.amplitude(z_c)
-    stark_diff = profile.stark_shift(z) - profile.stark_shift(z_c)
-    return SiteParameters(
-        couplings=g_central * amp_ratio, detunings=delta_central + stark_diff
-    )
+        couplings = g_central * (profile.amplitude(z) / profile.amplitude(z_c))
+    if not np.all((couplings > 0) & np.isfinite(couplings)):
+        raise ValueError("couplings must be positive and finite")
+    return couplings, profile.stark_shift(z) - profile.stark_shift(z_c)

@@ -5,12 +5,15 @@ Subcommands:
   dimension <N> <M>                     print the exact sector dimension
   calibrate --spectrum CSV | --rabi CSV fit trap/beam parameters
 
-Exit codes: 0 success, 2 config/parse error, 3 infeasible physics,
-4 numerical failure.
+Exit codes: 0 success, 2 bad input (config, CSV, or a path that cannot
+be read or written), 3 infeasible physics, 4 numerical failure, 141 the
+reader of stdout went away (128 + SIGPIPE, as a shell reports a writer
+the pipe killed).
 """
 
 import argparse
 import math
+import os
 import sys
 
 from .calibration import (
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _integer(low):
@@ -120,13 +124,22 @@ def _cmd_calibrate(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    commands = {"simulate": _cmd_simulate, "dimension": _cmd_dimension,
+                "calibrate": _cmd_calibrate}
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "dimension":
-            return _cmd_dimension(args)
-        return _cmd_calibrate(args)
-    except (ConfigError, FileNotFoundError, DegenerateDataError) as exc:
+        code = commands[args.command](args)
+        # A reader that went away is reported here, not by the flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    # OSError: the system refused a config, CSV or output path the user
+    # named (a directory, a file, missing, unreadable)
+    except (ConfigError, OSError, UnicodeDecodeError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InfeasibleError as exc:

@@ -5,22 +5,26 @@ comma-separated).  ExperimentConfig is the whole grammar: each field
 carries its key and a converter that refuses non-finite and out-of-range
 values.  parse_config and the calibration CSV readers raise ConfigError
 naming the line of any bad key, value or cell.  A run resolves the chain
-geometry, anchors the transverse trap frequency, derives per-ion
-couplings and detunings, builds the sector Hamiltonian, evolves, and
-writes timeseries.csv, modes.csv, t_matrix.csv, params.txt and plot.svg
-into the output directory.  A scan evolves its detunings in groups, each
-group as one block-diagonal system, and writes one sub-run directory per
-detuning; a single run is a scan of one detuning written into the output
-directory itself.  The output directory is made only once the run has
-results, so a run that fails before then leaves none.  This module is
-the only one that knows the artifact formats (svgplot draws the plot) or
-writes files, and it writes each file atomically (temp + rename).
+geometry, anchors the transverse trap frequency and derives the beam's
+per-ion couplings and Stark offsets, all once per config; with_detuning
+adds each central detuning.  It then builds the sector Hamiltonian,
+evolves, and writes timeseries.csv, modes.csv, t_matrix.csv, params.txt
+and plot.svg into the output directory.  A scan evolves its detunings
+in groups, each group as one block-diagonal system, and writes one
+sub-run directory per detuning; a single run is a scan of one detuning
+written into the output directory itself.  The output directory is
+made only once the run has results, so a run that fails before then
+leaves none.  This module is the only one that knows the artifact
+formats (svgplot draws the plot) or writes files, and it writes each
+file atomically (temp + rename).
 """
 
 import csv
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
+
+import numpy as np
 
 from . import calibration, svgplot
 from .constants import (
@@ -254,17 +258,22 @@ def parse_config(path):
 
 @dataclass
 class ResolvedModel:
-    """Everything needed to build and evolve, in SI angular units."""
+    """Everything needed to build and evolve, in SI angular units.
+
+    couplings and stark_offsets are per ion and do not depend on the
+    central detuning; with_detuning makes the parameters of one detuning.
+    """
 
     config: ExperimentConfig
     geometry: ChainGeometry
     transverse_frequency: float
     modes_shifted: ModeData
-    params: JchParameters
+    couplings: np.ndarray
+    stark_offsets: np.ndarray
 
 
 def resolve_model(cfg):
-    """Resolve geometry, modes and per-ion parameters for one run."""
+    """Resolve geometry, modes and per-ion beam parameters for one config."""
     if cfg.geometry_source == "spacings":
         geometry = ChainGeometry.from_spacings(
             [microns(d) for d in cfg.spacings_um]
@@ -294,25 +303,7 @@ def resolve_model(cfg):
         modes = mode_parameters(wx, geometry)
     except ZigzagError as exc:
         raise InfeasibleError(str(exc)) from exc
-    shifted = interaction_picture_shift(modes, wx)
 
-    chain = ResolvedModel(
-        config=cfg,
-        geometry=geometry,
-        transverse_frequency=wx,
-        modes_shifted=shifted,
-        params=None,
-    )
-    return with_detuning(chain, cfg.delta_khz)
-
-
-def with_detuning(model, delta_khz):
-    """The model with per-ion parameters re-derived at a central detuning.
-
-    Geometry and modes do not depend on the detuning, so a scan resolves
-    them once and calls this per detuning.
-    """
-    cfg = model.config
     profile = calibration.LaserProfile(
         peak_rabi=1.0,
         waist=math.inf if cfg.waist_um <= 0 else microns(cfg.waist_um),
@@ -320,9 +311,8 @@ def with_detuning(model, delta_khz):
         beam_center=microns(cfg.beam_center_um),
     )
     try:
-        site = calibration.derive_site_parameters(
-            profile, model.geometry, g_central=khz(cfg.g_khz),
-            delta_central=khz(delta_khz),
+        couplings, stark_offsets = calibration.derive_site_parameters(
+            profile, geometry, g_central=khz(cfg.g_khz)
         )
     except ValueError as exc:
         # the smallest usable waist depends on the ion positions
@@ -330,13 +320,24 @@ def with_detuning(model, delta_khz):
             f"waist_um = {cfg.waist_um:g} with beam_center_um = "
             f"{cfg.beam_center_um:g} leaves an ion without drive ({exc})"
         ) from exc
-    params = JchParameters(
-        detunings=site.detunings,
+    return ResolvedModel(
+        config=cfg,
+        geometry=geometry,
+        transverse_frequency=wx,
+        modes_shifted=interaction_picture_shift(modes, wx),
+        couplings=couplings,
+        stark_offsets=stark_offsets,
+    )
+
+
+def with_detuning(model, delta_khz):
+    """The model's JchParameters at one central detuning."""
+    return JchParameters(
+        detunings=khz(delta_khz) + model.stark_offsets,
         local_frequencies=model.modes_shifted.corrected_local,
-        couplings=site.couplings,
+        couplings=model.couplings,
         hoppings=model.modes_shifted.corrected_hopping,
     )
-    return replace(model, params=params)
 
 
 def run(config_path, output_dir=None):
@@ -353,6 +354,8 @@ def run(config_path, output_dir=None):
     if out is None:
         base = os.path.splitext(os.path.basename(config_path))[0]
         out = os.path.join("out", base)
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output directory {out} exists and is not a directory")
     model = resolve_model(cfg)
     try:
         basis = enumerate_sector(cfg.n_ions, cfg.excitations, cfg.dimension_cap)
@@ -373,12 +376,12 @@ def run(config_path, output_dir=None):
     for start in range(0, len(deltas), size):
         chunk = deltas[start : start + size]
         group = [with_detuning(model, d) for d in chunk]
-        hamiltonians = [build_hamiltonian(m.params, basis) for m in group]
-        for delta_khz, sub_model, series in zip(
+        hamiltonians = [build_hamiltonian(params, basis) for params in group]
+        for delta_khz, params, series in zip(
             chunk, group, evolve(hamiltonians, req, basis)
         ):
             sub = os.path.join(out, _scan_subdir(delta_khz)) if scan else out
-            _write_artifacts(sub_model, series, sub)
+            _write_artifacts(model, params, series, sub)
             runs.append((delta_khz, series))
     if scan:
         _atomic_write(os.path.join(out, "scan.csv"), _scan_csv(cfg, runs))
@@ -393,14 +396,14 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def _write_artifacts(model, series, out):
+def _write_artifacts(model, params, series, out):
     """Format one run's artifacts and write each into out atomically."""
     os.makedirs(out, exist_ok=True)
     files = {
         "timeseries.csv": _timeseries_csv(series),
         "modes.csv": _modes_csv(model.modes_shifted),
         "t_matrix.csv": _t_matrix_csv(model.modes_shifted),
-        "params.txt": _params_txt(model),
+        "params.txt": _params_txt(model, params),
         "plot.svg": svgplot.timeseries_svg(series),
     }
     for name, text in files.items():
@@ -444,7 +447,7 @@ def _t_matrix_csv(modes):
     return "\n".join(lines) + "\n"
 
 
-def _params_txt(model):
+def _params_txt(model, params):
     """Fully resolved parameters, enough to reproduce the run."""
     cfg = model.config
     lines = [
@@ -461,12 +464,11 @@ def _params_txt(model):
     ]
     z_um = [f"{to_microns(z):.17g}" for z in model.geometry.positions]
     lines.append("positions_um = " + ",".join(z_um))
-    p = model.params
     for i in range(cfg.n_ions):
         lines.append(
-            f"ion{i + 1}: g_kHz = {to_khz(p.couplings[i]):.17g}, "
-            f"delta_kHz = {to_khz(p.detunings[i]):.17g}, "
-            f"omega_tilde_kHz = {to_khz(p.local_frequencies[i]):.17g}"
+            f"ion{i + 1}: g_kHz = {to_khz(params.couplings[i]):.17g}, "
+            f"delta_kHz = {to_khz(params.detunings[i]):.17g}, "
+            f"omega_tilde_kHz = {to_khz(params.local_frequencies[i]):.17g}"
         )
     return "\n".join(lines) + "\n"
 

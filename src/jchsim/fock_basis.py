@@ -124,10 +124,6 @@ class SectorBasis:
         """(D, N) array of +/-1 spin eigenvalues per state and ion."""
         return np.where(self.spins, np.int8(1), np.int8(-1))
 
-    def phonon_totals(self):
-        """(D,) array of total phonon number per state."""
-        return self.occupations.sum(axis=1)
-
 
 def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP):
     """Enumerate all states with popcount(spins) + sum(phonons) = M.

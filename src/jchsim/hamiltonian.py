@@ -4,8 +4,11 @@ H = sum_i [ Delta_i/2 sigma_z^i + omega_i a_i^dag a_i
             + g_i (sigma_+^i a_i + a_i^dag sigma_-^i) ]
     + sum_{i<j} t_ij (a_i^dag a_j + a_j^dag a_i)
 
-built on a fixed-excitation SectorBasis.  In that basis every matrix
-element is real, so the matrix is stored as a real symmetric CSR.
+built on a fixed-excitation SectorBasis from the per-ion JchParameters
+of one detuning.  In that basis every matrix element is real, so the
+matrix is stored as a real symmetric CSR.  This module builds only H:
+propagator.evolve reads the sigma_z and excitation observables straight
+from the basis arrays.
 """
 
 from dataclasses import dataclass
@@ -125,13 +128,3 @@ def build_hamiltonian(params, basis):
     del r, c, v
     h.eliminate_zeros()
     return SparseHamiltonian(h, params, basis)
-
-
-def spin_sign_matrix(basis):
-    """(D, N) float +/-1 per state and ion: <sigma_z> = |v|^2 @ this."""
-    return basis.spin_signs().astype(float)
-
-
-def excitation_totals(basis):
-    """(D,) spin-up count plus phonon number: <exc> = |v|^2 @ this."""
-    return basis.spins.sum(axis=1) + basis.phonon_totals()

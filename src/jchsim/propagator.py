@@ -16,8 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstevd
 
-from .hamiltonian import excitation_totals, spin_sign_matrix
-
 DENSE_ORACLE_CAP = 2000
 # A Lanczos iteration computes its exact error estimate only when the
 # estimate's leading Taylor term is within this factor of the budget.
@@ -254,9 +252,11 @@ def evolve(h, req, basis):
         tol = req.krylov_tol / math.sqrt(blocks)
 
     # Observables are taken as each sample is produced, so only the
-    # current state is held unless the caller asked for all of them.
+    # current state is held unless the caller asked for all of them:
+    # <sigma_z> = |v|^2 @ signs and <exc> = |v|^2 @ totals.
     m = basis.excitations
-    signs, totals = spin_sign_matrix(basis), excitation_totals(basis)
+    signs = np.where(basis.spins, 1.0, -1.0)
+    totals = basis.spins.sum(axis=1) + basis.occupations.sum(axis=1)
     sz = np.empty((blocks, req.samples, basis.n_ions))
     norm_drift = np.empty((blocks, req.samples))
     exc_drift = np.empty((blocks, req.samples))

@@ -10,7 +10,7 @@ import numpy as np
 
 import jchsim
 from jchsim.constants import khz, mhz, to_khz, to_microns
-from jchsim.experiment import parse_config, resolve_model, run
+from jchsim.experiment import parse_config, resolve_model, run, with_detuning
 
 from conftest import CHAIN_TABLES, CONFIG_DIR
 
@@ -141,7 +141,7 @@ def test_06_oracle_equivalence_shipped_configs():
             continue
         model = resolve_model(cfg)
         basis = jchsim.enumerate_sector(cfg.n_ions, cfg.excitations)
-        h = jchsim.build_hamiltonian(model.params, basis)
+        h = jchsim.build_hamiltonian(with_detuning(model, cfg.delta_khz), basis)
         kw = dict(
             total_time=cfg.total_time_us * 1e-6,
             samples=cfg.samples,
@@ -232,14 +232,13 @@ def test_09_large_sector_performance():
     )
     from jchsim.calibration import LaserProfile, derive_site_parameters
 
-    site = derive_site_parameters(
-        LaserProfile(peak_rabi=1.0, waist=162e-6), geo,
-        g_central=khz(11.5), delta_central=khz(-60.0),
+    couplings, stark_offsets = derive_site_parameters(
+        LaserProfile(peak_rabi=1.0, waist=162e-6), geo, g_central=khz(11.5)
     )
     params = jchsim.JchParameters(
-        detunings=site.detunings,
+        detunings=khz(-60.0) + stark_offsets,
         local_frequencies=shifted.corrected_local,
-        couplings=site.couplings,
+        couplings=couplings,
         hoppings=shifted.corrected_hopping,
     )
     basis = jchsim.enumerate_sector(8, 8)

@@ -8,6 +8,7 @@ from conftest import REPO_ROOT
 from jchsim import calibration
 from jchsim.calibration import (
     DegenerateDataError,
+    FitError,
     LaserProfile,
     derive_site_parameters,
     fit_beam_profile,
@@ -128,48 +129,61 @@ class TestFitBeamProfile:
         profile = fit_beam_profile(z, rabi)
         assert to_microns(profile.beam_center) == pytest.approx(12.0, abs=0.5)
 
+    def test_unconverged_fit_raises_fit_error(self, monkeypatch):
+        solve = calibration.least_squares
+        # one evaluation cannot converge: the solver stops short
+        monkeypatch.setattr(calibration, "least_squares",
+                            lambda *args, **kw: solve(*args, **{**kw, "max_nfev": 1}))
+        z = np.linspace(-60e-6, 60e-6, 25)
+        rabi = khz(40.0) * np.exp(-2 * (z - 12e-6) ** 2 / (150e-6) ** 2)
+        with pytest.raises(FitError, match="beam profile fit failed"):
+            fit_beam_profile(z, rabi)
+
 
 class TestDeriveSiteParameters:
+    # derive_site_parameters returns (couplings, stark_offsets); ion i's
+    # detuning is the central detuning plus its offset.
     def test_single_ion_passthrough(self):
         profile = LaserProfile(peak_rabi=khz(50), waist=162e-6, stark_amplitude=0.0)
         geo = ChainGeometry(positions=np.array([0.0]))
-        site = derive_site_parameters(profile, geo, khz(10), khz(-60))
-        assert site.couplings[0] == pytest.approx(khz(10))
-        assert site.detunings[0] == pytest.approx(khz(-60))
+        couplings, stark = derive_site_parameters(profile, geo, khz(10))
+        assert couplings[0] == pytest.approx(khz(10))
+        assert khz(-60) + stark[0] == pytest.approx(khz(-60))
 
     def test_edge_ion_ratio_for_100um_chain(self):
         # 100 um long even chain centered at the beam: edge ratio e^(-2*50^2/162^2)
         profile = LaserProfile(peak_rabi=khz(50), waist=162e-6)
         positions = np.linspace(-50e-6, 50e-6, 10)
         geo = ChainGeometry(positions=positions)
-        site = derive_site_parameters(profile, geo, khz(10), khz(0))
+        couplings, _ = derive_site_parameters(profile, geo, khz(10))
         expected = math.exp(-2 * 50.0**2 / 162.0**2)
-        assert site.couplings[0] / khz(10) == pytest.approx(expected, rel=1e-6)
+        assert couplings[0] / khz(10) == pytest.approx(expected, rel=1e-6)
         assert expected == pytest.approx(0.826, abs=0.001)
 
     def test_even_chain_mirror_symmetry(self):
         profile = LaserProfile(peak_rabi=khz(50), waist=162e-6, stark_amplitude=khz(3))
         positions = np.array([-30.0, -10.0, 10.0, 30.0]) * 1e-6
         geo = ChainGeometry(positions=positions)
-        site = derive_site_parameters(profile, geo, khz(10), khz(-5))
-        assert site.couplings == pytest.approx(site.couplings[::-1], rel=0)
-        assert site.detunings == pytest.approx(site.detunings[::-1], rel=0)
+        couplings, stark = derive_site_parameters(profile, geo, khz(10))
+        detunings = khz(-5) + stark
+        assert couplings == pytest.approx(couplings[::-1], rel=0)
+        assert detunings == pytest.approx(detunings[::-1], rel=0)
 
     def test_coupling_bounded_by_central(self):
         profile = LaserProfile(peak_rabi=khz(50), waist=162e-6)
         geo = ChainGeometry(positions=np.linspace(-45e-6, 45e-6, 7))
-        site = derive_site_parameters(profile, geo, khz(11), khz(0))
-        assert np.all(site.couplings <= khz(11) * (1 + 1e-12))
+        couplings, _ = derive_site_parameters(profile, geo, khz(11))
+        assert np.all(couplings <= khz(11) * (1 + 1e-12))
 
     def test_stark_shift_sign_follows_amplitude(self):
         geo = ChainGeometry(positions=np.linspace(-45e-6, 45e-6, 5))
         for d0, sign in [(khz(4), -1), (-khz(4), +1)]:
             profile = LaserProfile(peak_rabi=khz(50), waist=162e-6,
                                    stark_amplitude=d0)
-            site = derive_site_parameters(profile, geo, khz(10), khz(0))
+            _, stark = derive_site_parameters(profile, geo, khz(10))
             # off-center ions see weaker stark shift, so the difference has
             # the opposite sign of D0 there
-            off_center = np.delete(site.detunings, 2)
+            off_center = np.delete(stark, 2)
             assert np.all(np.sign(off_center) == sign)
 
     def test_drive_underflow_at_center_rejected(self):
@@ -177,12 +191,12 @@ class TestDeriveSiteParameters:
         profile = LaserProfile(peak_rabi=khz(50), waist=1e-9, beam_center=3e-6)
         geo = ChainGeometry(positions=np.array([-5e-6, 0.0, 5e-6]))
         with pytest.raises(ValueError, match="positive and finite"):
-            derive_site_parameters(profile, geo, khz(10), khz(0))
+            derive_site_parameters(profile, geo, khz(10))
 
     def test_flat_profile_uniform_parameters(self):
         profile = LaserProfile(peak_rabi=khz(50), waist=math.inf,
                                stark_amplitude=khz(2))
         geo = ChainGeometry(positions=np.linspace(-45e-6, 45e-6, 5))
-        site = derive_site_parameters(profile, geo, khz(10), khz(-7))
-        assert np.all(site.couplings == khz(10))
-        assert np.all(site.detunings == khz(-7))
+        couplings, stark = derive_site_parameters(profile, geo, khz(10))
+        assert np.all(couplings == khz(10))
+        assert np.all(khz(-7) + stark == khz(-7))

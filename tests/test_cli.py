@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -230,6 +231,43 @@ def test_beam_too_narrow_for_chain_exits_2(tmp_path, capsys, beam):
     assert "waist_um" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{dir}"],
+    ["simulate", "{binary}"],
+    ["calibrate", "--spectrum", "{dir}"],
+    ["calibrate", "--rabi", "{dir}"],
+    ["simulate", "{config}", "--output-dir", "{file}"],
+], ids=["config-is-dir", "config-not-utf8", "spectrum-is-dir", "rabi-is-dir",
+        "output-dir-is-file"])
+def test_bad_input_file_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "binary.cfg").write_bytes(b"n_ions = \xff\n")
+    paths = {"dir": tmp_path, "binary": tmp_path / "binary.cfg",
+             "config": write(tmp_path / "run.cfg", SMALL_CFG),
+             "file": write(tmp_path / "taken", "")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_broken_pipe_exits_141(tmp_path, monkeypatch):
+    class ClosedPipe:
+        """A stdout whose reader has gone away."""
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fh.fileno()
+
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["dimension", "8", "8"]) == 141
+        # the flush at exit now writes to devnull and cannot fail again
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+
+
 def test_readme_config_table_matches_grammar():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("### Config grammar")[1].split("\n### ")[0]
@@ -353,7 +391,7 @@ def per_detuning_series(cfg_path, method):
         krylov_tol=cfg.krylov_tol, max_krylov_dim=cfg.max_krylov_dim,
     )
     return {
-        d: evolve(build_hamiltonian(with_detuning(model, d).params, basis), req, basis)
+        d: evolve(build_hamiltonian(with_detuning(model, d), basis), req, basis)
         for d in cfg.delta_scan_khz
     }
 

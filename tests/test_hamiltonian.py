@@ -5,12 +5,8 @@ import pytest
 
 from jchsim.constants import khz
 from jchsim.fock_basis import enumerate_sector
-from jchsim.hamiltonian import (
-    JchParameters,
-    build_hamiltonian,
-    excitation_totals,
-    spin_sign_matrix,
-)
+from jchsim.hamiltonian import JchParameters, build_hamiltonian
+from jchsim.propagator import EvolutionRequest, evolve
 
 
 def uniform_params(n, delta, omega, g, t_nn, decay=True):
@@ -265,34 +261,41 @@ class TestApply:
 
 
 class TestObservables:
-    # The operands evolve contracts each sample's probabilities with.
-    def test_all_up_product_state(self):
-        from jchsim.propagator import prepare_initial_state
+    # evolve's sigma_z and excitation readouts on known states: t = 0, and
+    # the resonant single-ion Rabi cycle |up;0> -> |down;1> at g t = pi/2.
+    @staticmethod
+    def rabi_quarters():
+        """sigma_z at g t = 0, pi/4, pi/2, 3 pi/4, pi for one resonant ion."""
+        basis = enumerate_sector(1, 1)
+        g = khz(5.0)
+        h = build_hamiltonian(JchParameters([0.0], [0.0], [g], [[0.0]]), basis)
+        req = EvolutionRequest(total_time=np.pi / g, samples=5, excited_ions=[1],
+                               method="dense-oracle")
+        return evolve(h, req, basis).sigma_z
 
+    def test_all_up_product_state(self):
         basis = enumerate_sector(3, 3)
-        probs = np.abs(prepare_initial_state(basis, [1, 2, 3])) ** 2
-        assert probs @ spin_sign_matrix(basis) == pytest.approx([1.0, 1.0, 1.0])
+        h = build_hamiltonian(uniform_params(3, khz(-5), khz(2), khz(3), khz(1)), basis)
+        req = EvolutionRequest(total_time=1e-4, samples=2, excited_ions=[1, 2, 3])
+        assert evolve(h, req, basis).sigma_z[0] == pytest.approx([1.0, 1.0, 1.0])
 
     def test_down_with_phonon(self):
-        basis = enumerate_sector(1, 1)
-        probs = np.zeros(2)
-        probs[0] = 1.0  # |down;1>
-        assert probs @ spin_sign_matrix(basis) == pytest.approx([-1.0])
+        assert self.rabi_quarters()[2] == pytest.approx([-1.0])  # |down;1>
 
     def test_equal_superposition(self):
-        basis = enumerate_sector(1, 1)
-        v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        probs = np.abs(v) ** 2
-        assert probs @ spin_sign_matrix(basis) == pytest.approx([0.0], abs=1e-15)
+        assert self.rabi_quarters()[1] == pytest.approx([0.0], abs=1e-15)
 
     def test_excitation_is_sector_constant(self):
         basis = enumerate_sector(3, 2)
+        req = EvolutionRequest(total_time=1e-3, samples=11, excited_ions=[1, 2])
         for seed in range(5):
-            probs = np.abs(random_state(len(basis), seed)) ** 2
-            assert probs @ excitation_totals(basis) == pytest.approx(2.0, abs=1e-10)
+            h = build_hamiltonian(random_params(3, seed), basis)
+            drift = evolve(h, req, basis).excitation_drift
+            assert drift == pytest.approx(np.zeros(11), abs=1e-10)
 
     def test_excitation_on_basis_state(self):
         basis = enumerate_sector(4, 3)
-        probs = np.zeros(len(basis))
-        probs[5] = 1.0
-        assert probs @ excitation_totals(basis) == pytest.approx(3.0, abs=1e-12)
+        h = build_hamiltonian(uniform_params(4, khz(-5), khz(2), khz(3), khz(1)), basis)
+        req = EvolutionRequest(total_time=1e-4, samples=2, excited_ions=[1, 2, 3])
+        drift = evolve(h, req, basis).excitation_drift[0]
+        assert drift == pytest.approx(0.0, abs=1e-12)
