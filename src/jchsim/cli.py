@@ -139,7 +139,7 @@ def main(argv=None):
         return EXIT_BROKEN_PIPE
     # OSError: the system refused a config, CSV or output path the user
     # named (a directory, a file, missing, unreadable)
-    except (ConfigError, OSError, UnicodeDecodeError, DegenerateDataError) as exc:
+    except (ConfigError, OSError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InfeasibleError as exc:

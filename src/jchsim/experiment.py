@@ -3,20 +3,25 @@
 Configs are flat key=value text files (comments with '#', lists
 comma-separated).  ExperimentConfig is the whole grammar: each field
 carries its key and a converter that refuses non-finite and out-of-range
-values.  parse_config and the calibration CSV readers raise ConfigError
-naming the line of any bad key, value or cell.  A run resolves the chain
-geometry, anchors the transverse trap frequency and derives the beam's
-per-ion couplings and Stark offsets, all once per config; with_detuning
-adds each central detuning.  It then builds the sector Hamiltonian,
-evolves, and writes timeseries.csv, modes.csv, t_matrix.csv, params.txt
-and plot.svg into the output directory.  A scan evolves its detunings
-in groups, each group as one block-diagonal system, and writes one
-sub-run directory per detuning; a single run is a scan of one detuning
-written into the output directory itself.  The output directory is
-made only once the run has results, so a run that fails before then
-leaves none.  This module is the only one that knows the artifact
-formats (svgplot draws the plot) or writes files, and it writes each
-file atomically (temp + rename).
+values.  parse_config and the calibration CSV readers read UTF-8 and
+raise ConfigError naming the line of any bad key, value or cell, or the
+file if it is not UTF-8.  A run resolves the chain geometry, anchors the
+transverse trap frequency and derives the beam's per-ion couplings and
+Stark offsets, all once per config; with_detuning adds each central
+detuning.  It then builds the sector Hamiltonian, evolves, and writes
+timeseries.csv, modes.csv, t_matrix.csv, params.txt and plot.svg into
+the output directory.  A Krylov run whose chain and initial state are
+mirror-symmetric (to within a share of krylov_tol, see _evolves_even)
+builds and evolves only the mirror-even sector, about half the states;
+its artifacts are those of the full sector.  A scan evolves its
+detunings in groups, each group as one block-diagonal system, and writes
+one sub-run directory per detuning; a single run is a scan of one
+detuning written into the output directory itself.  An output path that
+cannot become a directory is refused before any work, and the output
+directory is made only once the run has results, so a run that fails
+before then leaves none.  This module is the only one that knows the
+artifact formats (svgplot draws the plot) or writes files, and it writes
+each file atomically (temp + rename).
 """
 
 import csv
@@ -43,7 +48,7 @@ from .fock_basis import (
     enumerate_sector,
     sector_dimension,
 )
-from .hamiltonian import JchParameters, build_hamiltonian
+from .hamiltonian import JchParameters, build_hamiltonian, mirror_asymmetry
 from .ion_chain import (
     ChainGeometry,
     ModeData,
@@ -63,6 +68,9 @@ from .propagator import DENSE_ORACLE_CAP, EvolutionRequest, evolve
 # 2 x 1666 took 1.08x and 2 x 2364 1.58x.  Larger groups of small sectors
 # gain less as their detuning spread grows (21 x 192: 0.82x).
 JOINT_DIMENSION = 2500
+# Share of krylov_tol that replacing H by its mirror-symmetrized part may
+# cost a run evolved in the mirror-even sector (see _evolves_even).
+MIRROR_SHARE = 0.01
 
 
 class ConfigError(ValueError):
@@ -168,21 +176,29 @@ def parse_key_values(path):
     """Read a flat key=value file; returns dict plus line numbers."""
     pairs = {}
     lines = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"expected 'key = value', got {text!r}", lineno)
-            key, value = (part.strip() for part in text.split("=", 1))
-            if not key:
-                raise ConfigError("empty key", lineno)
-            if key in pairs:
-                raise ConfigError(f"duplicate key {key!r}", lineno)
-            pairs[key] = value
-            lines[key] = lineno
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"expected 'key = value', got {text!r}", lineno)
+        key, value = (part.strip() for part in text.split("=", 1))
+        if not key:
+            raise ConfigError("empty key", lineno)
+        if key in pairs:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
+        pairs[key] = value
+        lines[key] = lineno
     return pairs, lines
+
+
+def _read_lines(path):
+    """The lines of a UTF-8 text file; other bytes raise ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def parse_config(path):
@@ -348,19 +364,16 @@ def run(config_path, output_dir=None):
     sub-run per detuning, then the heat-map scan.csv.  Its detunings are
     evolved in scan-order groups of at most JOINT_DIMENSION joint rows;
     a group's sub-runs are written once the whole group has evolved.
+    The evolution runs in the mirror-even sector when _evolves_even
+    allows it, and on the full sector otherwise.
     """
     cfg = parse_config(config_path)
     out = output_dir or cfg.output_dir
     if out is None:
         base = os.path.splitext(os.path.basename(config_path))[0]
         out = os.path.join("out", base)
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise ConfigError(f"output directory {out} exists and is not a directory")
+    _check_output_dir(out)
     model = resolve_model(cfg)
-    try:
-        basis = enumerate_sector(cfg.n_ions, cfg.excitations, cfg.dimension_cap)
-    except SectorCapError as exc:
-        raise InfeasibleError(str(exc)) from exc
     req = EvolutionRequest(
         total_time=microseconds(cfg.total_time_us),
         samples=cfg.samples,
@@ -371,21 +384,63 @@ def run(config_path, output_dir=None):
     )
     scan = cfg.delta_scan_khz
     deltas = scan or [cfg.delta_khz]
+    params = [with_detuning(model, d) for d in deltas]
+    try:
+        basis = enumerate_sector(cfg.n_ions, cfg.excitations, cfg.dimension_cap,
+                                 mirror_even=_evolves_even(req, params))
+    except SectorCapError as exc:
+        raise InfeasibleError(str(exc)) from exc
     runs = []  # (delta_kHz, TimeSeries) per sub-run, in scan order
     size = max(1, JOINT_DIMENSION // basis.dimension)
     for start in range(0, len(deltas), size):
         chunk = deltas[start : start + size]
-        group = [with_detuning(model, d) for d in chunk]
-        hamiltonians = [build_hamiltonian(params, basis) for params in group]
-        for delta_khz, params, series in zip(
+        group = params[start : start + size]
+        hamiltonians = [build_hamiltonian(p, basis) for p in group]
+        for delta_khz, p, series in zip(
             chunk, group, evolve(hamiltonians, req, basis)
         ):
             sub = os.path.join(out, _scan_subdir(delta_khz)) if scan else out
-            _write_artifacts(model, params, series, sub)
+            _write_artifacts(model, p, series, sub)
             runs.append((delta_khz, series))
     if scan:
         _atomic_write(os.path.join(out, "scan.csv"), _scan_csv(cfg, runs))
     return out
+
+
+def _check_output_dir(out):
+    """Refuse, before any work, an output path that cannot become a directory."""
+    path = existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if os.path.isdir(existing):
+        return
+    if existing == path:
+        raise ConfigError(f"output directory {out} exists and is not a directory")
+    raise ConfigError(f"output directory {out} lies below {existing}, a file")
+
+
+def _evolves_even(req, params):
+    """Whether a run may evolve in the mirror-even sector.
+
+    It needs the Krylov method (the dense oracle stays a full-sector
+    reference), an excited set that is its own mirror image, and
+    parameters mirror-symmetric enough.  The even sector evolves
+    H_s = (H + PHP) / 2 in place of H, and by Duhamel's formula
+    ||exp(-iHt) v - exp(-iH_s t) v|| <= t ||H - H_s|| = t ||H - PHP|| / 2,
+    which must stay within MIRROR_SHARE of krylov_tol over the run.
+    """
+    n = params[0].n_ions
+    m = len(req.excited_ions)
+    ions = set(req.excited_ions)
+    return (
+        req.method == "krylov"
+        and ions == {n + 1 - i for i in ions}
+        and all(
+            req.total_time * mirror_asymmetry(p, m) / 2
+            <= MIRROR_SHARE * req.krylov_tol
+            for p in params
+        )
+    )
 
 
 def _atomic_write(path, text):
@@ -498,18 +553,17 @@ def _read_columns(path, *names):
     error names its line in the file.
     """
     columns = [[] for _ in names]
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(names) <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: expected columns {','.join(names)}")
-        for row in reader:
-            for name, column in zip(names, columns):
-                try:
-                    column.append(_FINITE(row[name]))
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}: bad {name} cell: {exc}", reader.line_num
-                    ) from exc
+    reader = csv.DictReader(_read_lines(path))
+    if reader.fieldnames is None or not set(names) <= set(reader.fieldnames):
+        raise ConfigError(f"{path}: expected columns {','.join(names)}")
+    for row in reader:
+        for name, column in zip(names, columns):
+            try:
+                column.append(_FINITE(row[name]))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}: bad {name} cell: {exc}", reader.line_num
+                ) from exc
     return columns
 
 

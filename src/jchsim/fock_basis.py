@@ -6,6 +6,14 @@ spin-up flags and phonon occupations, ordered by spin mask ascending
 (bit i set = ion i+1 up), then occupations in colexicographic order;
 its indices() ranks array rows in closed form, so no other module needs
 the ordering.
+
+Ion reversal i <-> N+1-i maps the sector onto itself.  MirrorEvenBasis
+is the subspace of states even under it, one basis vector per mirror
+orbit: a chain whose Hamiltonian commutes with the reversal, started
+from an even state, never leaves it, and it holds about half the
+states.  Both bases expose the same n_ions, excitations, dimension,
+spins, occupations, indices() and spin_signs(), so the propagator reads
+either one alike.
 """
 
 from functools import lru_cache
@@ -121,15 +129,71 @@ class SectorBasis:
         return index
 
     def spin_signs(self):
-        """(D, N) array of +/-1 spin eigenvalues per state and ion."""
+        """(D, N) int8 diagonal of sigma_z^i: each state's +/-1 spin eigenvalues."""
         return np.where(self.spins, np.int8(1), np.int8(-1))
 
 
-def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP):
+class MirrorEvenBasis:
+    """The mirror-even subspace of a SectorBasis, one vector per orbit.
+
+    partner[j] is the full-sector index of state j reversed.  Orbit a
+    has the representative representatives[a], the smaller index of the
+    pair, and the even vector weights[a] * (|r> + |partner r>): weights
+    are 1/sqrt(2) for a pair and 1 for a state that is its own mirror
+    image, which is then counted once.  spins and occupations are the
+    representatives' rows, and indices() maps any in-sector state to its
+    orbit.  full is the sector the orbits partition.
+    """
+
+    def __init__(self, full):
+        self.full = full
+        self.n_ions = full.n_ions
+        self.excitations = full.excitations
+        dim = full.dimension
+        partner = full.indices(full.spins[:, ::-1], full.occupations[:, ::-1])
+        reps = np.flatnonzero(np.arange(dim) <= partner)
+        orbit = np.empty(dim, dtype=np.int64)
+        orbit[reps] = np.arange(len(reps))
+        orbit[partner[reps]] = orbit[reps]
+        self.partner = partner
+        self.representatives = reps
+        self.orbit = orbit
+        self.weights = np.where(partner[reps] == reps, 1.0, np.sqrt(0.5))
+        self.spins = full.spins[reps]
+        self.occupations = full.occupations[reps]
+        for array in (partner, reps, orbit, self.weights, self.spins,
+                      self.occupations):
+            array.flags.writeable = False
+
+    def __len__(self):
+        return len(self.representatives)
+
+    @property
+    def dimension(self):
+        return len(self.representatives)
+
+    def indices(self, spins, occupations):
+        """Orbits of in-sector states given as (K, N) spin and occupation rows."""
+        return self.orbit[self.full.indices(spins, occupations)]
+
+    def spin_signs(self):
+        """(D, N) int8 diagonal of sigma_z^i: each orbit's mean spin eigenvalue.
+
+        The mean of a pair's two +/-1 values is -1, 0 or 1.
+        """
+        signs = self.full.spin_signs()
+        pair = self.partner[self.representatives]
+        return (signs[self.representatives] + signs[pair]) // 2
+
+
+def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP,
+                     mirror_even=False):
     """Enumerate all states with popcount(spins) + sum(phonons) = M.
 
     Ordering: spin bitmask ascending, then phonon occupations in colex
-    order (ion N's occupation is the most significant).
+    order (ion N's occupation is the most significant).  With
+    mirror_even, returns the MirrorEvenBasis of that sector instead; the
+    cap applies to the full dimension either way.
     """
     dim = sector_dimension(n_ions, excitations)
     if dim > dimension_cap:
@@ -155,4 +219,5 @@ def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP):
     spins = np.repeat(mask_spins, [len(b) for b in blocks], axis=0)
     occupations = np.concatenate(blocks)
     assert len(occupations) == dim
-    return SectorBasis(n_ions, excitations, spins, occupations)
+    basis = SectorBasis(n_ions, excitations, spins, occupations)
+    return MirrorEvenBasis(basis) if mirror_even else basis

@@ -4,18 +4,23 @@ H = sum_i [ Delta_i/2 sigma_z^i + omega_i a_i^dag a_i
             + g_i (sigma_+^i a_i + a_i^dag sigma_-^i) ]
     + sum_{i<j} t_ij (a_i^dag a_j + a_j^dag a_i)
 
-built on a fixed-excitation SectorBasis from the per-ion JchParameters
-of one detuning.  In that basis every matrix element is real, so the
-matrix is stored as a real symmetric CSR.  This module builds only H:
-propagator.evolve reads the sigma_z and excitation observables straight
-from the basis arrays.
+built on a fixed-excitation SectorBasis, or on its MirrorEvenBasis,
+from the per-ion JchParameters of one detuning.  In either basis every
+matrix element is real, so the matrix is stored as a real symmetric CSR.
+mirror_asymmetry bounds how far H is from commuting with the ion
+reversal, which decides whether the even sector may stand in for the
+full one.  This module builds only H: propagator.evolve reads the
+sigma_z and excitation observables straight from the basis arrays.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+
+from .fock_basis import MirrorEvenBasis
 
 
 @dataclass(frozen=True)
@@ -62,69 +67,178 @@ class SparseHamiltonian:
         return float(np.mean(self.matrix.diagonal()))
 
 
-def build_hamiltonian(params, basis):
-    """Assemble the sector Hamiltonian as a real symmetric CSR matrix.
+def _mirror_pairs(params):
+    """Each parameter array beside its image under ion reversal i <-> N+1-i.
 
-    Off-diagonal rules on a basis state |spins; n_1..n_N>:
+    Only the upper triangle of the hoppings enters H, so the image of
+    t_ij (i < j) is t_{N+1-j, N+1-i}, again in the upper triangle.
+    """
+    return [
+        (params.detunings, params.detunings[::-1]),
+        (params.local_frequencies, params.local_frequencies[::-1]),
+        (params.couplings, params.couplings[::-1]),
+        (params.hoppings, params.hoppings[::-1, ::-1].T),
+    ]
+
+
+def mirror_asymmetry(params, excitations):
+    """Upper bound on ||H - PHP||_2 in the sector, P the ion reversal.
+
+    H is linear in its parameters, so H - PHP is the Hamiltonian of the
+    differences d between the parameters and their mirror image.  Its
+    largest absolute row sum bounds the norm of a symmetric matrix; in a
+    sector of M excitations a row holds at most |d_delta|/2 summed over
+    ions, M max|d_omega|, sqrt(M) |d_g| per ion, and (M + 1) |d_t| per
+    pair (the two hops of a pair have elements summing to at most
+    n_i + n_j + 1).
+    """
+    d_delta, d_omega, d_g, d_t = (np.abs(x - y) for x, y in _mirror_pairs(params))
+    m = excitations
+    return float(0.5 * d_delta.sum() + m * d_omega.max() + math.sqrt(m) * d_g.sum()
+                 + (m + 1) * np.triu(d_t, 1).sum())
+
+
+def _diagonal(params, spins, occ):
+    """Diagonal of H on the given states."""
+    # Summed ion by ion, in ion order, so the rounding of each element does
+    # not depend on the BLAS in use.
+    signs = np.where(spins, np.int8(1), np.int8(-1))
+    diag = np.zeros(len(occ))
+    for i in range(params.n_ions):
+        diag += (0.5 * params.detunings[i] * signs[:, i]
+                 + params.local_frequencies[i] * occ[:, i])
+    return diag
+
+
+def _couplings(params, spins, occ, raising):
+    """Off-diagonal elements of H out of the given states, term by term.
+
+    Yields (sources, target spins, target occupations, elements), where
+    sources index the given rows.  The lowering terms, one per ion or
+    hopping pair, produce each undirected pair of states once over a
+    whole sector:
       spin flip down with phonon emission on ion i (spin up, any n_i):
           element g_i sqrt(n_i + 1)
       phonon hop j -> i for i < j with n_j >= 1:
           element t_ij sqrt((n_i + 1) n_j)
-    Each undirected pair is generated once, one vectorized block per ion
-    or hopping pair, and symmetrized at the end.
+    With raising, the reverse terms follow each lowering one, so every
+    neighbour of each given state is produced, with the element the
+    lowering term gives from that neighbour.
+    """
+    g, t = params.couplings, params.hoppings
+    for i in range(params.n_ions):
+        col = np.flatnonzero(spins[:, i])
+        down = spins[col]
+        down[:, i] = False
+        emitted = occ[col]
+        emitted[:, i] += 1
+        yield col, down, emitted, g[i] * np.sqrt(occ[col, i] + 1.0)
+        if raising:
+            col = np.flatnonzero(~spins[:, i] & (occ[:, i] > 0))
+            up = spins[col]
+            up[:, i] = True
+            absorbed = occ[col]
+            absorbed[:, i] -= 1
+            yield col, up, absorbed, g[i] * np.sqrt(occ[col, i] + 0.0)
+
+    for i, j in zip(*np.nonzero(np.triu(t, 1))):
+        for to, source in ((i, j), (j, i)) if raising else ((i, j),):
+            col = np.flatnonzero(occ[:, source])
+            hopped = occ[col]
+            hopped[:, to] += 1
+            hopped[:, source] -= 1
+            yield col, spins[col], hopped, t[i, j] * np.sqrt(
+                (occ[col, to] + 1.0) * occ[col, source])
+
+
+def _index_dtype(dim):
+    # Indices are stored as int32 whenever D fits, as scipy would pick, so
+    # the conversion below reads them without another copy.
+    return np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr(dim, rows, cols, vals, diag):
+    """Real symmetric CSR from one triangle's entries and the diagonal.
+
+    Both triangles and the diagonal go through one COO -> CSR conversion,
+    which sums repeated (row, col) entries.  A repeat has two terms at
+    most, so its sum is the same in either triangle and the matrix stays
+    bitwise symmetric.  Zeros are dropped, as CSR addition would drop
+    them.  The lists are emptied as they are consumed, to free their
+    arrays early.
+    """
+    on_diag = np.arange(dim, dtype=_index_dtype(dim))
+    r = np.concatenate(rows + cols + [on_diag])
+    c = np.concatenate(cols + rows + [on_diag])
+    rows.clear()
+    cols.clear()
+    del on_diag
+    v = np.concatenate(vals + vals + [diag])
+    vals.clear()
+    del diag
+    h = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
+    del r, c, v
+    h.eliminate_zeros()
+    return h
+
+
+def build_hamiltonian(params, basis):
+    """Assemble the Hamiltonian on a basis as a real symmetric CSR matrix.
+
+    On a SectorBasis each undirected pair of states is generated once
+    (see _couplings), one vectorized block per ion or hopping pair, and
+    symmetrized at the end.  On a MirrorEvenBasis the matrix is that of
+    the mean of the parameters and their mirror image on the even
+    vectors, built from the representatives alone (see _build_even); the
+    full-sector matrix is never formed.
     """
     n = params.n_ions
     if n != basis.n_ions:
         raise ValueError(
             f"parameters are for {n} ions but basis has {basis.n_ions}"
         )
+    if isinstance(basis, MirrorEvenBasis):
+        return _build_even(params, basis)
     dim = basis.dimension
     spins, occ = basis.spins, basis.occupations
-    delta = params.detunings
-    omega = params.local_frequencies
-    g = params.couplings
-    t = params.hoppings
-
-    # Summed ion by ion, in ion order, so the rounding of each element does
-    # not depend on the BLAS in use.
-    signs = basis.spin_signs()
-    diag = np.zeros(dim)
-    for i in range(n):
-        diag += 0.5 * delta[i] * signs[:, i] + omega[i] * occ[:, i]
-
-    # Indices are stored as int32 whenever D fits, as scipy would pick, so
-    # the conversion below reads them without another copy.
-    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    diag = _diagonal(params, spins, occ)
+    index = _index_dtype(dim)
     rows, cols, vals = [], [], []
-    for i in range(n):
-        col = np.flatnonzero(spins[:, i])
-        down = spins[col]
-        down[:, i] = False
-        emitted = occ[col]
-        emitted[:, i] += 1
-        rows.append(basis.indices(down, emitted).astype(index))
+    for col, down, moved, element in _couplings(params, spins, occ, raising=False):
+        rows.append(basis.indices(down, moved).astype(index))
         cols.append(col.astype(index))
-        vals.append(g[i] * np.sqrt(occ[col, i] + 1.0))
+        vals.append(element)
+    return SparseHamiltonian(_csr(dim, rows, cols, vals, diag), params, basis)
 
-    for i, j in zip(*np.nonzero(np.triu(t, 1))):
-        col = np.flatnonzero(occ[:, j])
-        hopped = occ[col]
-        hopped[:, i] += 1
-        hopped[:, j] -= 1
-        rows.append(basis.indices(spins[col], hopped).astype(index))
-        cols.append(col.astype(index))
-        vals.append(t[i, j] * np.sqrt((occ[col, i] + 1.0) * occ[col, j]))
 
-    # Both triangles and the diagonal go through one COO -> CSR conversion.
-    # No (row, col) repeats, so nothing is summed and each value is stored
-    # as computed; zeros are dropped, as CSR addition would drop them.
-    on_diag = np.arange(dim, dtype=index)
-    r = np.concatenate(rows + cols + [on_diag])
-    c = np.concatenate(cols + rows + [on_diag])
-    del rows, cols, on_diag
-    v = np.concatenate(vals + vals + [diag])
-    del vals, diag
-    h = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
-    del r, c, v
-    h.eliminate_zeros()
-    return SparseHamiltonian(h, params, basis)
+def _build_even(params, basis):
+    """H on the even orbit vectors, from the neighbours of each representative.
+
+    For a P-symmetric H and orbits a, b with representatives r_a, r_b,
+        <a|H|b> = (w_b / w_a) * sum over y in orbit b of H[r_a, y],
+    so each row of the reduced matrix is read off one row of H.  Only
+    the upper triangle (b > a) is kept and mirrored, so the CSR is
+    bitwise symmetric.  A pair coupled to its own mirror image (b == a)
+    adds H[r, Pr] to its diagonal.
+    """
+    # The mean with the mirror image: its H is (H + PHP) / 2, and
+    # mirror-symmetric parameters come back bitwise unchanged.
+    params = JchParameters(*(0.5 * (x + y) for x, y in _mirror_pairs(params)))
+    dim = basis.dimension
+    spins, occ, weights = basis.spins, basis.occupations, basis.weights
+    diag = _diagonal(params, spins, occ)
+    index = _index_dtype(dim)
+    rows, cols, vals = [], [], []
+    blocks = _couplings(params, spins, occ, raising=True)
+    # Each term and its reverse are ranked in one indices() call.
+    for pair in zip(blocks, blocks):
+        a, moved_spins, moved, element = map(np.concatenate, zip(*pair))
+        b = basis.indices(moved_spins, moved)
+        same = b == a
+        diag[a[same]] += element[same]
+        upper = b > a
+        a, b = a[upper], b[upper]
+        rows.append(a.astype(index))
+        cols.append(b.astype(index))
+        vals.append(element[upper] * (weights[b] / weights[a]))
+    return SparseHamiltonian(_csr(dim, rows, cols, vals, diag), params, basis)

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstevd
 
+from .fock_basis import MirrorEvenBasis
+
 DENSE_ORACLE_CAP = 2000
 # A Lanczos iteration computes its exact error estimate only when the
 # estimate's leading Taylor term is within this factor of the budget.
@@ -65,7 +67,11 @@ class TimeSeries:
 
 
 def prepare_initial_state(basis, excited_ions):
-    """Product state: listed ions spin-up, all others down, zero phonons."""
+    """Product state: listed ions spin-up, all others down, zero phonons.
+
+    On a MirrorEvenBasis the excited set must be its own mirror image,
+    so that the state is one even basis vector.
+    """
     ions = list(excited_ions)
     if len(set(ions)) != len(ions):
         raise ValueError(f"duplicate ion index in {ions}")
@@ -75,6 +81,10 @@ def prepare_initial_state(basis, excited_ions):
         raise ValueError(
             f"{len(ions)} excited ions but the sector has M={basis.excitations}"
         )
+    if isinstance(basis, MirrorEvenBasis) and (
+        set(ions) != {basis.n_ions + 1 - i for i in ions}
+    ):
+        raise ValueError(f"excited ions {ions} do not form a mirror-even state")
     spins = np.zeros((1, basis.n_ions), dtype=bool)
     spins[0, [i - 1 for i in ions]] = True
     v = np.zeros(basis.dimension, dtype=complex)
@@ -82,8 +92,12 @@ def prepare_initial_state(basis, excited_ions):
     return v
 
 
-def _lanczos_step(matvec, v, dt, err_budget, m_max):
+def _lanczos_step(matvec, v, dt, err_budget, m_max, V=None):
     """One Lanczos exp(-i dt H) v attempt with full reorthogonalization.
+
+    V, if given, is a (m_max, D) complex array the Krylov basis is
+    written into, so that a caller making many attempts allocates it
+    once.
 
     Returns (new_v, error_estimate) or (None, best_estimate) if the
     budget was not met within m_max iterations.
@@ -99,7 +113,8 @@ def _lanczos_step(matvec, v, dt, err_budget, m_max):
     dim = v.size
     tau = abs(dt)
     beta0 = np.linalg.norm(v)
-    V = np.empty((m_max, dim), dtype=complex)
+    if V is None:
+        V = np.empty((m_max, dim), dtype=complex)
     V[0] = v / beta0
     alphas = np.empty(m_max)
     betas = np.empty(m_max)  # betas[k] couples V[k-1] and V[k]
@@ -157,9 +172,11 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
 
     tol is an error budget for the whole evolution, relative to the norm
     of v0; each sub-step gets a share proportional to its duration
-    relative to time_scale (defaults to |t_target|).  For a stacked
-    vector of B unit blocks, evolve passes krylov_tol / sqrt(B), so that
-    krylov_tol bounds the absolute error of the whole stacked vector.
+    relative to time_scale (defaults to |t_target|).  The (m_max, D)
+    Krylov basis is allocated once per call and reused by every step and
+    halving.  For a stacked vector of B unit blocks, evolve passes
+    krylov_tol / sqrt(B), so that krylov_tol bounds the absolute error of
+    the whole stacked vector.
     The mean-diagonal shift (one per row, or a scalar) is restored as a
     phase.
     """
@@ -178,6 +195,7 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
         return y
 
     v = v0.astype(complex, copy=True)
+    krylov_basis = np.empty((m_max, v.size), dtype=complex)
     t = 0.0
     direction = 1.0 if t_target > 0 else -1.0
     remaining = abs(t_target)
@@ -187,7 +205,8 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
     while remaining > 0.0:
         dt = min(dt, remaining)
         budget = tol * dt / time_scale
-        new_v, err = _lanczos_step(matvec, v, direction * dt, budget, m_max)
+        new_v, err = _lanczos_step(matvec, v, direction * dt, budget, m_max,
+                                   krylov_basis)
         if new_v is None:
             dt *= 0.5
             if dt < min_dt:
@@ -223,8 +242,10 @@ def evolve(h, req, basis):
     detunings of a scan), which are evolved together from the same
     initial state.  exp(-iHt) of a block-diagonal H is the block-diagonal
     of the blocks' exponentials, so the Krylov path evolves the stacked
-    state of all blocks in one propagate_krylov pass.  Returns one
-    TimeSeries, or a list of them in the order of h.
+    state of all blocks in one propagate_krylov pass.  basis is a
+    SectorBasis or a MirrorEvenBasis; on the latter, h must be built on
+    it, the initial state must be even, and stored states are even-sector
+    vectors.  Returns one TimeSeries, or a list of them in the order of h.
     """
     hs = h if isinstance(h, list) else [h]
     blocks, dim = len(hs), basis.dimension
@@ -254,8 +275,10 @@ def evolve(h, req, basis):
     # Observables are taken as each sample is produced, so only the
     # current state is held unless the caller asked for all of them:
     # <sigma_z> = |v|^2 @ signs and <exc> = |v|^2 @ totals.
+    # On a MirrorEvenBasis the signs are orbit means: sigma_z is diagonal,
+    # so an even vector's <sigma_z^i> is |v_a|^2 times its orbit's mean.
     m = basis.excitations
-    signs = np.where(basis.spins, 1.0, -1.0)
+    signs = basis.spin_signs().astype(float)
     totals = basis.spins.sum(axis=1) + basis.occupations.sum(axis=1)
     sz = np.empty((blocks, req.samples, basis.n_ions))
     norm_drift = np.empty((blocks, req.samples))

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from jchsim import propagator
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
 
@@ -66,3 +68,23 @@ def chain_tables():
 @pytest.fixture
 def config_dir():
     return CONFIG_DIR
+
+
+def record_lanczos_steps(monkeypatch):
+    """Log (vector length, matvecs, accepted) for every Lanczos step."""
+    log = []
+    step = propagator._lanczos_step
+
+    def logged(matvec, v, *args, **kwargs):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return matvec(x)
+
+        result = step(counted, v, *args, **kwargs)
+        log.append((v.size, calls[0], result[0] is not None))
+        return result
+
+    monkeypatch.setattr(propagator, "_lanczos_step", logged)
+    return log

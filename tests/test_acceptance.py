@@ -12,7 +12,7 @@ import jchsim
 from jchsim.constants import khz, mhz, to_khz, to_microns
 from jchsim.experiment import parse_config, resolve_model, run, with_detuning
 
-from conftest import CHAIN_TABLES, CONFIG_DIR
+from conftest import CHAIN_TABLES, CONFIG_DIR, record_lanczos_steps
 
 
 def report(number, name, passed):
@@ -224,7 +224,8 @@ def test_08_band_edge_phenomenology():
     report(8, "band-edge phenomenology", ok and elapsed < 30.0)
 
 
-def test_09_large_sector_performance():
+def test_09_large_sector_performance(monkeypatch):
+    log = record_lanczos_steps(monkeypatch)
     start = time.monotonic()
     _, _, shifted = shifted_modes(8)
     geo = jchsim.ChainGeometry.from_spacings(
@@ -251,7 +252,12 @@ def test_09_large_sector_performance():
     elapsed = time.monotonic() - start
     ok &= series.norm_drift.max() < 1e-9
     ok &= np.all(np.abs(series.sigma_z) <= 1 + 1e-8)
-    report(9, f"N=8 M=8 evolution in {elapsed:.1f}s", ok and elapsed < 120.0)
+    # The wall-clock budget also measures load on the machine; the matvec
+    # count does not.  The full-sector Fig. 2b evolution makes 2,970.
+    matvecs = sum(calls for _, calls, _ in log)
+    ok &= matvecs <= 3000
+    report(9, f"N=8 M=8 evolution in {elapsed:.1f}s, {matvecs} matvecs",
+           ok and elapsed < 120.0)
 
 
 def test_10_determinism(tmp_path):

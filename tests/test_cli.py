@@ -8,7 +8,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from jchsim import experiment, propagator
+from jchsim import experiment
 from jchsim.cli import main
 from jchsim.constants import TWO_PI, khz, microseconds, to_khz
 from jchsim.experiment import (
@@ -22,6 +22,8 @@ from jchsim.experiment import (
 from jchsim.fock_basis import enumerate_sector, sector_dimension
 from jchsim.hamiltonian import build_hamiltonian
 from jchsim.propagator import EvolutionRequest, evolve
+
+from conftest import record_lanczos_steps
 
 
 def write(path, text):
@@ -248,6 +250,29 @@ def test_bad_input_file_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_output_below_a_file_exits_2_before_any_work(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_work(*args):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(experiment, "resolve_model", no_work)
+    taken = write(tmp_path / "taken", "")
+    cfg = write(tmp_path / "run.cfg", SMALL_CFG)
+    assert main(["simulate", cfg, "--output-dir", os.path.join(taken, "sub")]) == 2
+    assert taken in capsys.readouterr().err
+
+
+def test_spectrum_file_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    spectrum = tmp_path / "modes.csv"
+    spectrum.write_bytes(b"index,frequency_MHz\n1,2.7\xff\n2,2.72\n")
+    cfg = write(tmp_path / "run.cfg", "\n".join(small_cfg_with(
+        f"geometry = spectrum\nspectrum_file = {spectrum}")) + "\n")
+    assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(spectrum) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_broken_pipe_exits_141(tmp_path, monkeypatch):
     class ClosedPipe:
         """A stdout whose reader has gone away."""
@@ -381,7 +406,8 @@ def scan_cfg_with(tmp_path, config_dir, override):
 
 
 def per_detuning_series(cfg_path, method):
-    """Each scan detuning of the config evolved alone: {delta_kHz: TimeSeries}."""
+    """Each detuning of the config evolved alone on the full sector:
+    {delta_kHz: TimeSeries}."""
     cfg = parse_config(cfg_path)
     model = resolve_model(cfg)
     basis = enumerate_sector(cfg.n_ions, cfg.excitations)
@@ -392,28 +418,8 @@ def per_detuning_series(cfg_path, method):
     )
     return {
         d: evolve(build_hamiltonian(with_detuning(model, d), basis), req, basis)
-        for d in cfg.delta_scan_khz
+        for d in cfg.delta_scan_khz or [cfg.delta_khz]
     }
-
-
-def record_lanczos_steps(monkeypatch):
-    """Log (vector length, matvecs, accepted) for every Lanczos step."""
-    log = []
-    step = propagator._lanczos_step
-
-    def logged(matvec, v, *args, **kwargs):
-        calls = [0]
-
-        def counted(x):
-            calls[0] += 1
-            return matvec(x)
-
-        result = step(counted, v, *args, **kwargs)
-        log.append((v.size, calls[0], result[0] is not None))
-        return result
-
-    monkeypatch.setattr(propagator, "_lanczos_step", logged)
-    return log
 
 
 class TestJointScan:
@@ -436,7 +442,8 @@ class TestJointScan:
         joint = list(log)
         monkeypatch.undo()
         deltas = parse_config(cfg).delta_scan_khz
-        assert {size for size, _, _ in joint} == {len(deltas) * 192}
+        # the mirror-even sector of N = M = 4: 100 of the 192 states
+        assert {size for size, _, _ in joint} == {len(deltas) * 100}
         if override:
             assert not all(accepted for _, _, accepted in joint)
         dense = per_detuning_series(cfg, "dense-oracle")
@@ -481,7 +488,8 @@ class TestJointScan:
                      "\n".join(base + ["delta_scan_kHz = -30,10"]) + "\n")
         log = record_lanczos_steps(monkeypatch)
         assert main(["simulate", scan, "--output-dir", str(tmp_path / "scan")]) == 0
-        assert {size for size, _, _ in log} == {sector_dimension(6, 6)}
+        # the mirror-even sector: 2,687 of the 5,336 states
+        assert {size for size, _, _ in log} == {2687}
         for d in ("-30", "10"):
             single = write(tmp_path / f"{d}.cfg",
                            "\n".join(cfg_with("\n".join(base), f"delta_kHz = {d}"))
@@ -491,3 +499,39 @@ class TestJointScan:
             sub = tmp_path / "scan" / f"delta_{d}kHz"
             for name in ("timeseries.csv", "params.txt", "plot.svg"):
                 assert (sub / name).read_bytes() == (out / name).read_bytes(), name
+
+
+class TestMirrorEvenRuns:
+    """A run evolves in the mirror-even sector only if its chain and its
+    initial state are mirror-symmetric; otherwise it keeps the full sector."""
+
+    FOUR_IONS = ("n_ions = 4\nspacings_um = 6.602,6.104,6.602\n"
+                 "top_mode_MHz = 2.744\ntotal_time_us = 200\n")
+
+    def run_logged(self, tmp_path, monkeypatch, override):
+        cfg = write(tmp_path / "run.cfg",
+                    "\n".join(small_cfg_with(self.FOUR_IONS + override)) + "\n")
+        log = record_lanczos_steps(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 0
+        monkeypatch.undo()
+        (full,) = per_detuning_series(cfg, "krylov").values()
+        return out, {size for size, _, _ in log}, full
+
+    def test_symmetric_run_evolves_even(self, tmp_path, monkeypatch):
+        out, sizes, full = self.run_logged(tmp_path, monkeypatch, "excitations = 4")
+        assert sizes == {100}  # of 192 states
+        rows = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 1:-2] - full.sigma_z)) <= 1e-10
+        assert rows[:, -2].max() <= 1e-11  # norm drift
+
+    @pytest.mark.parametrize("override", [
+        "excitations = 4\nbeam_center_um = 3",
+        "excited_ions = 1,2",
+    ], ids=["off-center-beam", "odd-initial-state"])
+    def test_asymmetric_run_keeps_full_sector(self, tmp_path, monkeypatch,
+                                              override):
+        out, sizes, full = self.run_logged(tmp_path, monkeypatch, override)
+        m = parse_config(str(tmp_path / "run.cfg")).excitations
+        assert sizes == {sector_dimension(4, m)}
+        assert (out / "timeseries.csv").read_text() == experiment._timeseries_csv(full)

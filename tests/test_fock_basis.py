@@ -122,3 +122,51 @@ class TestIndexing:
         # Occupations are int16; the (1, 32768) sector itself has only 2 states.
         with pytest.raises(ValueError, match="int16"):
             enumerate_sector(1, 32768)
+
+
+class TestMirrorEvenBasis:
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 4), (5, 3), (6, 2)])
+    def test_orbits_match_reversed_states(self, n, m):
+        full = enumerate_sector(n, m)
+        even = enumerate_sector(n, m, mirror_even=True)
+        rows = states(full)
+        position = {row: j for j, row in enumerate(rows)}
+        reverse = {
+            j: position[sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1),
+                        occ[::-1]]
+            for j, (mask, occ) in enumerate(rows)
+        }
+        reps = [j for j in range(len(rows)) if j <= reverse[j]]
+        assert even.representatives.tolist() == reps
+        assert even.dimension == len(even) == len(reps)
+        assert even.weights.tolist() == [
+            1.0 if reverse[j] == j else np.sqrt(0.5) for j in reps
+        ]
+        assert np.array_equal(even.spins, full.spins[reps])
+        assert np.array_equal(even.occupations, full.occupations[reps])
+        for j in range(len(rows)):
+            a = even.orbit[j]
+            assert reps[a] in (j, reverse[j])
+        ranks = even.indices(full.spins, full.occupations)
+        assert np.array_equal(ranks, even.orbit)
+
+    def test_8_8_orbits(self):
+        even = enumerate_sector(8, 8, mirror_even=True)
+        assert len(even) == 78688
+        assert int((even.weights == 1.0).sum()) == 192
+        assert (2 * len(even) - 192) == 157184
+
+    def test_spin_signs_are_orbit_means(self):
+        full = enumerate_sector(4, 3)
+        even = enumerate_sector(4, 3, mirror_even=True)
+        signs = full.spin_signs().astype(float)
+        reps = even.representatives
+        expected = 0.5 * (signs[reps] + signs[even.partner[reps]])
+        assert even.spin_signs().dtype == np.int8
+        assert np.array_equal(even.spin_signs(), expected)
+
+    def test_arrays_are_read_only(self):
+        even = enumerate_sector(3, 2, mirror_even=True)
+        for array in (even.spins, even.occupations, even.weights, even.orbit):
+            with pytest.raises(ValueError):
+                array[0] = array[0]

@@ -5,7 +5,11 @@ import pytest
 
 from jchsim.constants import khz
 from jchsim.fock_basis import enumerate_sector
-from jchsim.hamiltonian import JchParameters, build_hamiltonian
+from jchsim.hamiltonian import (
+    JchParameters,
+    build_hamiltonian,
+    mirror_asymmetry,
+)
 from jchsim.propagator import EvolutionRequest, evolve
 
 
@@ -37,6 +41,36 @@ def random_params(n, seed):
         couplings=rng.standard_normal(n) * khz(5),
         hoppings=t,
     )
+
+
+def mirror_symmetric_params(n, seed):
+    """random_params averaged with their mirror image, exactly symmetric."""
+    p = random_params(n, seed)
+    flip = np.arange(n)[::-1]
+    return JchParameters(
+        detunings=0.5 * (p.detunings + p.detunings[flip]),
+        local_frequencies=0.5 * (p.local_frequencies + p.local_frequencies[flip]),
+        couplings=0.5 * (p.couplings + p.couplings[flip]),
+        hoppings=0.5 * (p.hoppings + p.hoppings[np.ix_(flip, flip)]),
+    )
+
+
+def mirror_matrices(basis):
+    """Dense reversal permutation P and even-orbit isometry Q of a sector,
+    from the enumerated rows; Q's columns follow the smaller index."""
+    index = state_index(basis)
+    dim = len(basis)
+    perm = np.zeros((dim, dim))
+    for (ups, occ), j in index.items():
+        perm[index[ups[::-1], occ[::-1]], j] = 1.0
+    columns = []
+    for j in range(dim):
+        k = int(np.argmax(perm[:, j]))
+        if j <= k:
+            e = np.zeros(dim)
+            e[j] = e[k] = 1.0
+            columns.append(e / np.linalg.norm(e))
+    return perm, np.array(columns).T
 
 
 def state_index(basis):
@@ -299,3 +333,65 @@ class TestObservables:
         req = EvolutionRequest(total_time=1e-4, samples=2, excited_ions=[1, 2, 3])
         drift = evolve(h, req, basis).excitation_drift[0]
         assert drift == pytest.approx(0.0, abs=1e-12)
+
+
+class TestMirrorEven:
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 4), (5, 3)])
+    def test_even_matrix_is_projected_full_matrix(self, n, m):
+        params = mirror_symmetric_params(n, 7 * n + m)
+        full = enumerate_sector(n, m)
+        perm, q = mirror_matrices(full)
+        h = build_hamiltonian(params, full).dense()
+        scale = np.abs(h).max()
+        # equal up to the order in which the diagonal sums the ions
+        assert np.abs(perm @ h @ perm.T - h).max() <= 1e-15 * scale
+        expected = q.T @ h @ q
+        even = build_hamiltonian(params, enumerate_sector(n, m, mirror_even=True))
+        got = even.dense()
+        assert np.abs(got - expected).max() <= 1e-14 * scale
+        assert np.array_equal(got, got.T)  # bitwise symmetric
+        assert even.matrix.has_canonical_format
+        assert np.all(even.matrix.data != 0.0)
+
+    def test_asymmetric_parameters_are_symmetrized(self):
+        params = random_params(4, 3)
+        full = enumerate_sector(4, 3)
+        perm, q = mirror_matrices(full)
+        h = build_hamiltonian(params, full).dense()
+        expected = q.T @ (0.5 * (h + perm @ h @ perm.T)) @ q
+        got = build_hamiltonian(params, enumerate_sector(4, 3, mirror_even=True)).dense()
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 2), (4, 4), (5, 3)])
+    def test_asymmetry_bounds_norm_of_h_minus_php(self, n, m):
+        params = random_params(n, 11 * n + m)
+        full = enumerate_sector(n, m)
+        perm, _ = mirror_matrices(full)
+        h = build_hamiltonian(params, full).dense()
+        norm = np.linalg.norm(h - perm @ h @ perm.T, 2)
+        bound = mirror_asymmetry(params, m)
+        assert norm <= bound * (1 + 1e-12)
+        assert bound <= 20 * norm  # a bound, but not a vacuous one
+        assert mirror_asymmetry(mirror_symmetric_params(n, 1), m) == 0.0
+
+    def test_even_build_peak_memory(self):
+        # The even CSR is built from the representatives alone: the build's
+        # peak stays within the full build's bound for the even CSR, about
+        # 1.2x the full CSR, which is therefore never held.
+        params = random_params(6, 66)
+        full = build_hamiltonian(params, enumerate_sector(6, 6)).matrix
+        basis = enumerate_sector(6, 6, mirror_even=True)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            h = build_hamiltonian(params, basis).matrix
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        csr = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        full_csr = full.data.nbytes + full.indices.nbytes + full.indptr.nbytes
+        assert basis.dimension == 2687
+        assert peak <= 2.75 * csr < 1.5 * full_csr
+        assert h.indices.dtype == h.indptr.dtype == np.int32
