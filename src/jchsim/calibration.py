@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import COULOMB_CONSTANT, TWO_PI, YB171_MASS
 from .ion_chain import (
@@ -123,6 +122,9 @@ def fit_chain_from_spectrum(measured_modes):
             "need positive mode frequencies with a nonzero band width"
         )
 
+    # Imported here, so that only the fits load scipy.optimize.
+    from scipy.optimize import least_squares
+
     guess = initial_trap_guess(meas)
     wx0 = guess.transverse_frequency
     wz0 = guess.axial_quadratic
@@ -172,6 +174,8 @@ def fit_beam_profile(positions, rabi_measured):
         return LaserProfile(
             peak_rabi=float(rabi.mean()), waist=math.inf, beam_center=0.0
         )
+
+    from scipy.optimize import least_squares
 
     def residuals(p):
         peak, center, sigma = p

@@ -294,7 +294,12 @@ def resolve_model(cfg):
         geometry = ChainGeometry.from_spacings(
             [microns(d) for d in cfg.spacings_um]
         )
-        wx = anchor_transverse_frequency(geometry, mhz(cfg.top_mode_mhz))
+        try:
+            wx = anchor_transverse_frequency(geometry, mhz(cfg.top_mode_mhz))
+        except ValueError as exc:  # ZigzagError, or no convergence
+            raise InfeasibleError(
+                f"cannot anchor top_mode_MHz = {cfg.top_mode_mhz:g}: {exc}"
+            ) from exc
     elif cfg.geometry_source == "trap":
         trap = TrapParameters(
             transverse_frequency=mhz(cfg.transverse_mhz),

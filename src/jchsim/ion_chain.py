@@ -10,7 +10,6 @@ spectrum.  Everything here is a pure function of its inputs.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import COULOMB_CONSTANT, YB171_MASS
 
@@ -18,6 +17,10 @@ from .constants import COULOMB_CONSTANT, YB171_MASS
 # equilibrium solve.
 EQUILIBRIUM_MAX_ITER = 200
 EQUILIBRIUM_TOL = 1e-12
+# Secant iteration limit and relative step at which the top-mode anchor
+# stops.
+ANCHOR_MAX_ITER = 50
+ANCHOR_RTOL = 1e-12
 
 
 class EquilibriumError(RuntimeError):
@@ -254,12 +257,30 @@ def anchor_transverse_frequency(geometry, top_mode):
     """Find the transverse trap frequency whose highest collective mode
     equals top_mode (angular rad/s) for the given geometry.
 
-    The highest corrected collective mode sits within a few kHz of the
-    trap frequency itself, so a narrow bracket around top_mode suffices.
+    Secant iteration on top(wx) - top_mode, started at wx = top_mode
+    with unit slope: top(wx) - wx changes slowly, so the shipped chains
+    converge in two to three mode_parameters calls.  It stops once a
+    step falls below ANCHOR_RTOL * wx; that last step is taken, which
+    leaves the root within a few ulp.  Raises ZigzagError if an iterate
+    leaves an ion without transverse confinement, and ValueError if the
+    iteration does not converge within ANCHOR_MAX_ITER steps.
     """
 
-    def top_of(wx):
+    def excess(wx):
         return mode_parameters(wx, geometry).collective_frequencies[-1] - top_mode
 
-    width = 0.02 * top_mode
-    return brentq(top_of, top_mode - width, top_mode + width, xtol=1e-6)
+    wx, f = top_mode, excess(top_mode)
+    step = f
+    for _ in range(ANCHOR_MAX_ITER):
+        trial = wx - step
+        if abs(step) <= ANCHOR_RTOL * trial:
+            return trial
+        f_trial = excess(trial)
+        if f_trial == f:
+            break  # no slope to follow
+        step = f_trial * (trial - wx) / (f_trial - f)
+        wx, f = trial, f_trial
+    raise ValueError(
+        f"no transverse frequency puts the top mode at "
+        f"{top_mode:.6e} rad/s (secant stopped at {wx:.6e} rad/s)"
+    )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dstevd
 
 from .fock_basis import MirrorEvenBasis
 
@@ -160,10 +159,12 @@ def _tridiag_expm_col(alphas, offdiag, dt):
     """First column of exp(-i dt T) for symmetric tridiagonal T."""
     if alphas.size == 1:
         return np.exp(-1j * dt * alphas)
-    # LAPACK dstevd, the routine eigh_tridiagonal calls for all eigenpairs.
-    evals, evecs, info = dstevd(alphas, offdiag)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info={info}")
+    # numpy's dense eigh of T, at most max_krylov_dim square, costs tens of
+    # microseconds more per call than LAPACK's tridiagonal dstevd; over the
+    # few hundred calls of a shipped run that is less than the 0.09 s
+    # import of scipy.linalg (2-vCPU host), which simulate no longer loads.
+    # eigh reads only the lower triangle.
+    evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(offdiag, -1))
     return evecs @ (np.exp(-1j * dt * evals) * evecs[0])
 
 

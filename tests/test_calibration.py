@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import REPO_ROOT
 from jchsim import calibration
@@ -130,9 +131,10 @@ class TestFitBeamProfile:
         assert to_microns(profile.beam_center) == pytest.approx(12.0, abs=0.5)
 
     def test_unconverged_fit_raises_fit_error(self, monkeypatch):
-        solve = calibration.least_squares
-        # one evaluation cannot converge: the solver stops short
-        monkeypatch.setattr(calibration, "least_squares",
+        solve = scipy.optimize.least_squares
+        # one evaluation cannot converge: the solver stops short; the fit
+        # imports least_squares from scipy.optimize when it is called
+        monkeypatch.setattr(scipy.optimize, "least_squares",
                             lambda *args, **kw: solve(*args, **{**kw, "max_nfev": 1}))
         z = np.linspace(-60e-6, 60e-6, 25)
         rabi = khz(40.0) * np.exp(-2 * (z - 12e-6) ** 2 / (150e-6) ** 2)

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from xml.etree import ElementTree
@@ -8,7 +9,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from jchsim import experiment
+from jchsim import experiment, ion_chain
 from jchsim.cli import main
 from jchsim.constants import TWO_PI, khz, microseconds, to_khz
 from jchsim.experiment import (
@@ -23,7 +24,7 @@ from jchsim.fock_basis import enumerate_sector, sector_dimension
 from jchsim.hamiltonian import build_hamiltonian
 from jchsim.propagator import EvolutionRequest, evolve
 
-from conftest import record_lanczos_steps
+from conftest import REPO_ROOT, record_lanczos_steps
 
 
 def write(path, text):
@@ -117,6 +118,31 @@ class TestSimulate:
         cfg = os.path.join(config_dir, f"{name}.cfg")
         assert main(["simulate", cfg, "--output-dir", str(out)]) == 3
         assert "dimension" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("top_mode_MHz = 2.744", "top_mode_MHz = 0.3"),
+        ("spacings_um = 6.602,6.104,6.602", "spacings_um = 1.5,1.5,1.5"),
+    ], ids=["low_top_mode", "tight_spacings"])
+    def test_unanchorable_top_mode_exits_3(self, tmp_path, capsys, config_dir,
+                                           old, new):
+        text = Path(config_dir, "fig3a_scan.cfg").read_text()
+        assert old in text
+        cfg = write(tmp_path / "run.cfg", text.replace(old, new))
+        out = tmp_path / "x"
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: cannot anchor top_mode_MHz")
+        assert "omega_i^2 <= 0" in err
+        assert not out.exists()
+
+    def test_anchor_without_convergence_exits_3(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(ion_chain, "ANCHOR_MAX_ITER", 1)
+        cfg = write(tmp_path / "run.cfg", SMALL_CFG)
+        out = tmp_path / "x"
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 3
+        assert "no transverse frequency" in capsys.readouterr().err
         assert not out.exists()
 
     def test_every_artifact_written_once_through_atomic_write(
@@ -291,6 +317,39 @@ def test_broken_pipe_exits_141(tmp_path, monkeypatch):
         assert main(["dimension", "8", "8"]) == 141
         # the flush at exit now writes to devnull and cannot fail again
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+
+
+LOADED_MODULES = """\
+import sys
+from jchsim.cli import main
+code = main(sys.argv[1:])
+print(*(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["simulate", "{cfg}", "--output-dir", "{out}"], False),
+    (["dimension", "8", "8"], False),
+    (["calibrate", "--spectrum", "{spectrum}"], True),
+], ids=["simulate", "dimension", "calibrate"])
+def test_scipy_modules_each_subcommand_loads(tmp_path, argv, fits):
+    """Only the fits load scipy.optimize (which loads scipy.linalg)."""
+    paths = {
+        "cfg": write(tmp_path / "run.cfg", SMALL_CFG),
+        "out": str(tmp_path / "out"),
+        "spectrum": os.path.join(REPO_ROOT, "bench", "inputs", "spectrum_4.csv"),
+    }
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = done.stdout.splitlines()[-1].split()
+    assert loaded == (["scipy.optimize", "scipy.linalg"] if fits else [])
 
 
 def test_readme_config_table_matches_grammar():

@@ -1,10 +1,15 @@
+import glob
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR, REPO_ROOT
+from jchsim import ion_chain
 from jchsim.constants import COULOMB_CONSTANT, YB171_MASS, khz, mhz, to_khz, to_mhz
+from jchsim.experiment import parse_config
 from jchsim.ion_chain import (
     ChainGeometry,
     TrapParameters,
@@ -17,6 +22,14 @@ from jchsim.ion_chain import (
 )
 
 TRAP = TrapParameters(transverse_frequency=mhz(2.7), axial_quadratic=khz(100))
+# Every shipped config and the benchmark's sector8x8 input that anchors
+# its chain on a measured top mode.
+SPACINGS_CONFIGS = [
+    path
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
+    + [os.path.join(REPO_ROOT, "bench", "inputs", "sector8x8.cfg")]
+    if parse_config(path).geometry_source == "spacings"
+]
 
 
 def force_residual(trap, geometry):
@@ -237,6 +250,46 @@ class TestInteractionPictureShift:
             modes.collective_frequencies - c, rel=1e-12
         )
         assert np.allclose(shifted.hopping, modes.hopping)
+
+
+def top_mode_excess(geometry, top_mode):
+    return lambda wx: (
+        mode_parameters(wx, geometry).collective_frequencies[-1] - top_mode
+    )
+
+
+class TestAnchorTransverseFrequency:
+    @pytest.mark.parametrize("path", SPACINGS_CONFIGS, ids=os.path.basename)
+    def test_matches_brentq_on_shipped_chains(self, path):
+        from scipy.optimize import brentq
+
+        cfg = parse_config(path)
+        geo = ChainGeometry.from_spacings([d * 1e-6 for d in cfg.spacings_um])
+        top = mhz(cfg.top_mode_mhz)
+        # The bracketed root finder the anchor used before: +-2% of top.
+        ref = brentq(top_mode_excess(geo, top), 0.98 * top, 1.02 * top, xtol=1e-6)
+        assert abs(anchor_transverse_frequency(geo, top) - ref) <= 8 * np.spacing(ref)
+
+    def test_root_beyond_two_percent_of_top_mode(self):
+        # Tight spacings put the trap frequency 5% above the top mode,
+        # where a +-2% bracket around it would find no root.
+        geo = ChainGeometry.from_spacings([1.8e-6] * 3)
+        top = mhz(2.744)
+        wx = anchor_transverse_frequency(geo, top)
+        assert wx > 1.02 * top
+        assert abs(top_mode_excess(geo, top)(wx)) <= 8 * np.spacing(top)
+
+    @pytest.mark.parametrize("spacing_um, top_mhz", [(6.6, 0.3), (1.5, 2.744)])
+    def test_unconfined_chain_raises_zigzag(self, spacing_um, top_mhz):
+        geo = ChainGeometry.from_spacings([spacing_um * 1e-6] * 3)
+        with pytest.raises(ZigzagError):
+            anchor_transverse_frequency(geo, mhz(top_mhz))
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(ion_chain, "ANCHOR_MAX_ITER", 1)
+        geo = ChainGeometry.from_spacings([6.602e-6, 6.104e-6, 6.602e-6])
+        with pytest.raises(ValueError, match="no transverse frequency"):
+            anchor_transverse_frequency(geo, mhz(2.744))
 
 
 def test_modes_csv_roundtrip():

@@ -346,6 +346,8 @@ class TestLanczosStep:
         assert new_v is None
         assert np.isfinite(err) and err > 1e-12
 
+    # every size up to the default max_krylov_dim, which no shipped
+    # config raises
     @pytest.mark.parametrize("size", range(1, 41))
     def test_tridiag_expm_col_matches_expm(self, size):
         rng = np.random.default_rng(size)
@@ -355,7 +357,7 @@ class TestLanczosStep:
         for dt in (0.3, -4.0):
             expected = scipy.linalg.expm(-1j * dt * t)[:, 0]
             got = _tridiag_expm_col(alphas, offdiag, dt)
-            assert np.max(np.abs(got - expected)) < 1e-12
+            assert np.max(np.abs(got - expected)) < 1e-13
 
 
 def symmetric_chain(spacings_um, top_mode_mhz, delta_khz=-60.0):
