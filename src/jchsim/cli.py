@@ -6,15 +6,16 @@ Subcommands:
   calibrate --spectrum CSV | --rabi CSV fit trap/beam parameters
 
 Exit codes: 0 success, 2 bad input (config, CSV, or a path that cannot
-be read or written), 3 infeasible physics, 4 numerical failure, 141 the
-reader of stdout went away (128 + SIGPIPE, as a shell reports a writer
-the pipe killed).
+be read or written), 3 infeasible physics or not enough memory for the
+run, 4 numerical failure, 141 the reader of stdout went away (128 +
+SIGPIPE, as a shell reports a writer the pipe killed).
 """
 
 import argparse
 import math
 import os
 import sys
+from decimal import Decimal
 
 from .calibration import (
     DegenerateDataError,
@@ -90,7 +91,8 @@ def _cmd_simulate(args):
 
 def _cmd_dimension(args):
     dim = sector_dimension(args.n_ions, args.excitations)
-    print(f"D({args.n_ions},{args.excitations}) = {dim}")
+    # Decimal prints every digit: str() refuses ints above 4300 digits.
+    print(f"D({args.n_ions},{args.excitations}) = {Decimal(dim)}")
     print(f"log2(D) = {math.log2(dim):.4f}" if dim > 1 else "log2(D) = 0.0000")
     return EXIT_OK
 
@@ -144,6 +146,11 @@ def main(argv=None):
         return EXIT_PARSE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        # numpy's message names the allocation it could not make
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"infeasible: not enough memory{detail}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (FitError, PropagationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,20 +8,22 @@ raise ConfigError naming the line of any bad key, value or cell, or the
 file if it is not UTF-8.  A run resolves the chain geometry, anchors the
 transverse trap frequency and derives the beam's per-ion couplings and
 Stark offsets, all once per config; with_detuning adds each central
-detuning.  It then builds the sector Hamiltonian, evolves, and writes
-timeseries.csv, modes.csv, t_matrix.csv, params.txt and plot.svg into
-the output directory.  A Krylov run whose chain and initial state are
-mirror-symmetric (to within a share of krylov_tol, see _evolves_even)
-builds and evolves only the mirror-even sector, about half the states;
-its artifacts are those of the full sector.  A scan evolves its
-detunings in groups, each group as one block-diagonal system, and writes
-one sub-run directory per detuning; a single run is a scan of one
-detuning written into the output directory itself.  An output path that
-cannot become a directory is refused before any work, and the output
-directory is made only once the run has results, so a run that fails
-before then leaves none.  This module is the only one that knows the
-artifact formats (svgplot draws the plot) or writes files, and it writes
-each file atomically (temp + rename).
+detuning.  It then builds the sector Hamiltonian, evolves it with the
+Krylov propagator, and writes timeseries.csv, modes.csv, t_matrix.csv,
+params.txt and plot.svg into the output directory.  A config sets the
+model and krylov_tol, never which algorithm runs or how it is tuned.  A
+run whose chain and initial state are mirror-symmetric (to within a
+share of krylov_tol, see _evolves_even) builds and evolves only the
+mirror-even sector, about half the states; its artifacts are those of
+the full sector.  A scan evolves its detunings in groups, each group as
+one block-diagonal system, and writes one sub-run directory per
+detuning; a single run is a scan of one detuning written into the
+output directory itself.  An output path that cannot become a directory
+is refused before any work, and the output directory is made only once
+the run has results, so a run that fails before then leaves none.  This
+module is the only one that knows the artifact formats (svgplot draws
+the plot) or writes files, and it writes each file atomically (temp +
+rename).
 """
 
 import csv
@@ -59,7 +61,7 @@ from .ion_chain import (
     mode_parameters,
     equilibrium_positions,
 )
-from .propagator import DENSE_ORACLE_CAP, EvolutionRequest, evolve
+from .propagator import EvolutionRequest, evolve
 
 # Largest joint dimension of the scan detunings evolved as one
 # block-diagonal Krylov system.  Joint evolution pays where per-call
@@ -153,11 +155,7 @@ class ExperimentConfig:
     waist_um: float = _key("waist_um", _FINITE, 162.0)  # <= 0: flat beam
     stark_khz: float = _key("stark_kHz", _FINITE, 0.0)
     beam_center_um: float = _key("beam_center_um", _FINITE, 0.0)
-    method: str = _key("method", _choice("krylov", "dense-oracle"), "krylov")
     krylov_tol: float = _key("krylov_tol", _number(float, 0, 1e-3, above=True), 1e-9)
-    # one Lanczos iteration can only accept on breakdown
-    max_krylov_dim: int = _key("max_krylov_dim", _number(int, 2), 40)
-    output_dir: str = _key("output_dir", str, None)
     dimension_cap: int = _key("dimension_cap", _number(int, 1), DEFAULT_DIMENSION_CAP)
     delta_scan_khz: list = _key("delta_scan_kHz", _list_of(_FINITE), None)
     scan_ion: int = _key("scan_ion", _number(int, 1), None)
@@ -264,11 +262,6 @@ def parse_config(path):
             f"spacings_um implies {len(cfg.spacings_um) + 1} ions, n_ions={cfg.n_ions}",
             lines["spacings_um"],
         )
-    if cfg.method == "dense-oracle" and (
-        sector_dimension(cfg.n_ions, cfg.excitations) > DENSE_ORACLE_CAP
-    ):
-        limit = f"dense-oracle needs sector dimension <= {DENSE_ORACLE_CAP}"
-        raise ConfigError(limit, lines["method"])
     return cfg
 
 
@@ -364,7 +357,8 @@ def with_detuning(model, delta_khz):
 def run(config_path, output_dir=None):
     """Full pipeline for one config; returns the output directory.
 
-    A config without delta_scan_kHz runs as a scan of its one detuning
+    output_dir defaults to out/<config file name without extension>.  A
+    config without delta_scan_kHz runs as a scan of its one detuning
     whose sub-run is the output directory itself.  A scan writes one
     sub-run per detuning, then the heat-map scan.csv.  Its detunings are
     evolved in scan-order groups of at most JOINT_DIMENSION joint rows;
@@ -373,19 +367,15 @@ def run(config_path, output_dir=None):
     allows it, and on the full sector otherwise.
     """
     cfg = parse_config(config_path)
-    out = output_dir or cfg.output_dir
-    if out is None:
-        base = os.path.splitext(os.path.basename(config_path))[0]
-        out = os.path.join("out", base)
+    base = os.path.splitext(os.path.basename(config_path))[0]
+    out = output_dir or os.path.join("out", base)
     _check_output_dir(out)
     model = resolve_model(cfg)
     req = EvolutionRequest(
         total_time=microseconds(cfg.total_time_us),
         samples=cfg.samples,
         excited_ions=cfg.excited_ions,
-        method=cfg.method,
         krylov_tol=cfg.krylov_tol,
-        max_krylov_dim=cfg.max_krylov_dim,
     )
     scan = cfg.delta_scan_khz
     deltas = scan or [cfg.delta_khz]
@@ -427,10 +417,9 @@ def _check_output_dir(out):
 def _evolves_even(req, params):
     """Whether a run may evolve in the mirror-even sector.
 
-    It needs the Krylov method (the dense oracle stays a full-sector
-    reference), an excited set that is its own mirror image, and
-    parameters mirror-symmetric enough.  The even sector evolves
-    H_s = (H + PHP) / 2 in place of H, and by Duhamel's formula
+    It needs an excited set that is its own mirror image and parameters
+    mirror-symmetric enough.  The even sector evolves H_s = (H + PHP) / 2
+    in place of H, and by Duhamel's formula
     ||exp(-iHt) v - exp(-iH_s t) v|| <= t ||H - H_s|| = t ||H - PHP|| / 2,
     which must stay within MIRROR_SHARE of krylov_tol over the run.
     """
@@ -438,8 +427,7 @@ def _evolves_even(req, params):
     m = len(req.excited_ions)
     ions = set(req.excited_ions)
     return (
-        req.method == "krylov"
-        and ions == {n + 1 - i for i in ions}
+        ions == {n + 1 - i for i in ions}
         and all(
             req.total_time * mirror_asymmetry(p, m) / 2
             <= MIRROR_SHARE * req.krylov_tol
@@ -517,7 +505,7 @@ def _params_txt(model, params):
         f"dimension = {sector_dimension(cfg.n_ions, cfg.excitations)}",
         f"geometry_source = {model.geometry.source}",
         f"transverse_MHz = {to_mhz(model.transverse_frequency):.17g}",
-        f"method = {cfg.method}",
+        "method = krylov",
         f"krylov_tol = {cfg.krylov_tol:.17g}",
         f"total_time_us = {cfg.total_time_us:.17g}",
         f"samples = {cfg.samples}",

@@ -12,8 +12,9 @@ is the subspace of states even under it, one basis vector per mirror
 orbit: a chain whose Hamiltonian commutes with the reversal, started
 from an even state, never leaves it, and it holds about half the
 states.  Both bases expose the same n_ions, excitations, dimension,
-spins, occupations, indices() and spin_signs(), so the propagator reads
-either one alike.
+spins, occupations, weights, indices() and spin_signs(), so the
+Hamiltonian builder and the propagator read either one alike; a
+SectorBasis is the case where every orbit is one state of weight 1.
 """
 
 from functools import lru_cache
@@ -69,6 +70,8 @@ class SectorBasis:
 
     spins[j, i] is True when ion i+1 is up in state j, and
     occupations[j, i] is its phonon number; both arrays are read-only.
+    weights are all 1, as each state is its own orbit (see
+    MirrorEvenBasis).
     """
 
     def __init__(self, n_ions, excitations, spins, occupations):
@@ -78,6 +81,8 @@ class SectorBasis:
         self.occupations = occupations
         spins.flags.writeable = False
         occupations.flags.writeable = False
+        # A read-only zero-stride view, which holds no array of D ones.
+        self.weights = np.broadcast_to(1.0, (len(occupations),))
         n, m = n_ions, excitations
         # Counts for indices(), each at most D: _placements[r, j] is the
         # number of ways to put r phonons on j ions.

@@ -5,8 +5,9 @@ H = sum_i [ Delta_i/2 sigma_z^i + omega_i a_i^dag a_i
     + sum_{i<j} t_ij (a_i^dag a_j + a_j^dag a_i)
 
 built on a fixed-excitation SectorBasis, or on its MirrorEvenBasis,
-from the per-ion JchParameters of one detuning.  In either basis every
-matrix element is real, so the matrix is stored as a real symmetric CSR.
+from the per-ion JchParameters of one detuning, by one builder that
+reads either basis alike.  In either basis every matrix element is
+real, so the matrix is stored as a real symmetric CSR.
 mirror_asymmetry bounds how far H is from commuting with the ion
 reversal, which decides whether the even sector may stand in for the
 full one.  This module builds only H: propagator.evolve reads the
@@ -110,20 +111,19 @@ def _diagonal(params, spins, occ):
     return diag
 
 
-def _couplings(params, spins, occ, raising):
+def _couplings(params, spins, occ):
     """Off-diagonal elements of H out of the given states, term by term.
 
     Yields (sources, target spins, target occupations, elements), where
-    sources index the given rows.  The lowering terms, one per ion or
-    hopping pair, produce each undirected pair of states once over a
-    whole sector:
+    sources index the given rows, in pairs: each lowering term, one per
+    ion or hopping pair,
       spin flip down with phonon emission on ion i (spin up, any n_i):
           element g_i sqrt(n_i + 1)
       phonon hop j -> i for i < j with n_j >= 1:
           element t_ij sqrt((n_i + 1) n_j)
-    With raising, the reverse terms follow each lowering one, so every
-    neighbour of each given state is produced, with the element the
-    lowering term gives from that neighbour.
+    followed by its reverse, so every neighbour of each given state is
+    produced, with the element the lowering term gives from that
+    neighbour.
     """
     g, t = params.couplings, params.hoppings
     for i in range(params.n_ions):
@@ -133,16 +133,15 @@ def _couplings(params, spins, occ, raising):
         emitted = occ[col]
         emitted[:, i] += 1
         yield col, down, emitted, g[i] * np.sqrt(occ[col, i] + 1.0)
-        if raising:
-            col = np.flatnonzero(~spins[:, i] & (occ[:, i] > 0))
-            up = spins[col]
-            up[:, i] = True
-            absorbed = occ[col]
-            absorbed[:, i] -= 1
-            yield col, up, absorbed, g[i] * np.sqrt(occ[col, i] + 0.0)
+        col = np.flatnonzero(~spins[:, i] & (occ[:, i] > 0))
+        up = spins[col]
+        up[:, i] = True
+        absorbed = occ[col]
+        absorbed[:, i] -= 1
+        yield col, up, absorbed, g[i] * np.sqrt(occ[col, i] + 0.0)
 
     for i, j in zip(*np.nonzero(np.triu(t, 1))):
-        for to, source in ((i, j), (j, i)) if raising else ((i, j),):
+        for to, source in ((i, j), (j, i)):
             col = np.flatnonzero(occ[:, source])
             hopped = occ[col]
             hopped[:, to] += 1
@@ -185,12 +184,19 @@ def _csr(dim, rows, cols, vals, diag):
 def build_hamiltonian(params, basis):
     """Assemble the Hamiltonian on a basis as a real symmetric CSR matrix.
 
-    On a SectorBasis each undirected pair of states is generated once
-    (see _couplings), one vectorized block per ion or hopping pair, and
-    symmetrized at the end.  On a MirrorEvenBasis the matrix is that of
-    the mean of the parameters and their mirror image on the even
-    vectors, built from the representatives alone (see _build_even); the
-    full-sector matrix is never formed.
+    Basis vector a is w_a times the sum of the states of its orbit,
+    represented by the row r_a: on a SectorBasis an orbit is one state
+    and w_a = 1; on a MirrorEvenBasis it is a state and its mirror image.
+    For an H that commutes with the reversal P (any H, if orbits are
+    single states),
+        <a|H|b> = (w_b / w_a) * sum over y in orbit b of H[r_a, y],
+    so each row is read off the neighbours of one representative, one
+    vectorized block per term and its reverse (see _couplings).  Only
+    the upper triangle (b > a) is kept and mirrored, so the CSR is
+    bitwise symmetric; a pair coupled to its own mirror image (b == a)
+    adds H[r, Pr] to its diagonal.  On a MirrorEvenBasis the matrix is
+    that of the mean of the parameters and their mirror image, whose H
+    is (H + PHP) / 2, and the full-sector matrix is never formed.
     """
     n = params.n_ions
     if n != basis.n_ions:
@@ -198,38 +204,14 @@ def build_hamiltonian(params, basis):
             f"parameters are for {n} ions but basis has {basis.n_ions}"
         )
     if isinstance(basis, MirrorEvenBasis):
-        return _build_even(params, basis)
-    dim = basis.dimension
-    spins, occ = basis.spins, basis.occupations
-    diag = _diagonal(params, spins, occ)
-    index = _index_dtype(dim)
-    rows, cols, vals = [], [], []
-    for col, down, moved, element in _couplings(params, spins, occ, raising=False):
-        rows.append(basis.indices(down, moved).astype(index))
-        cols.append(col.astype(index))
-        vals.append(element)
-    return SparseHamiltonian(_csr(dim, rows, cols, vals, diag), params, basis)
-
-
-def _build_even(params, basis):
-    """H on the even orbit vectors, from the neighbours of each representative.
-
-    For a P-symmetric H and orbits a, b with representatives r_a, r_b,
-        <a|H|b> = (w_b / w_a) * sum over y in orbit b of H[r_a, y],
-    so each row of the reduced matrix is read off one row of H.  Only
-    the upper triangle (b > a) is kept and mirrored, so the CSR is
-    bitwise symmetric.  A pair coupled to its own mirror image (b == a)
-    adds H[r, Pr] to its diagonal.
-    """
-    # The mean with the mirror image: its H is (H + PHP) / 2, and
-    # mirror-symmetric parameters come back bitwise unchanged.
-    params = JchParameters(*(0.5 * (x + y) for x, y in _mirror_pairs(params)))
+        # Mirror-symmetric parameters come back bitwise unchanged.
+        params = JchParameters(*(0.5 * (x + y) for x, y in _mirror_pairs(params)))
     dim = basis.dimension
     spins, occ, weights = basis.spins, basis.occupations, basis.weights
     diag = _diagonal(params, spins, occ)
     index = _index_dtype(dim)
     rows, cols, vals = [], [], []
-    blocks = _couplings(params, spins, occ, raising=True)
+    blocks = _couplings(params, spins, occ)
     # Each term and its reverse are ranked in one indices() call.
     for pair in zip(blocks, blocks):
         a, moved_spins, moved, element = map(np.concatenate, zip(*pair))

@@ -18,6 +18,9 @@ import scipy.sparse as sp
 from .fock_basis import MirrorEvenBasis
 
 DENSE_ORACLE_CAP = 2000
+# Largest Krylov subspace of one Lanczos step; a step that does not meet
+# its error budget within it is halved.
+MAX_KRYLOV_DIM = 40
 # A Lanczos iteration computes its exact error estimate only when the
 # estimate's leading Taylor term is within this factor of the budget.
 SCREEN_FACTOR = 10.0
@@ -40,7 +43,6 @@ class EvolutionRequest:
     excited_ions: list
     method: str = "krylov"
     krylov_tol: float = 1e-9
-    max_krylov_dim: int = 40
     store_states: bool = False
 
     def __post_init__(self):
@@ -159,7 +161,7 @@ def _tridiag_expm_col(alphas, offdiag, dt):
     """First column of exp(-i dt T) for symmetric tridiagonal T."""
     if alphas.size == 1:
         return np.exp(-1j * dt * alphas)
-    # numpy's dense eigh of T, at most max_krylov_dim square, costs tens of
+    # numpy's dense eigh of T, at most MAX_KRYLOV_DIM square, costs tens of
     # microseconds more per call than LAPACK's tridiagonal dstevd; over the
     # few hundred calls of a shipped run that is less than the 0.09 s
     # import of scipy.linalg (2-vCPU host), which simulate no longer loads.
@@ -298,7 +300,7 @@ def evolve(h, req, basis):
                 v,
                 t - times[k - 1],
                 tol,
-                req.max_krylov_dim,
+                MAX_KRYLOV_DIM,
                 time_scale=req.total_time,
             )
         for b, vb in enumerate(v.reshape(blocks, dim)):

@@ -89,6 +89,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "dimension" in err
 
+    @pytest.mark.parametrize("message, detail", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type float64", " (Unable to allocate 745. GiB"),
+        ("", "\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch,
+                                   message, detail):
+        # Raised, not allocated: a host that overcommits memory could grant
+        # a real allocation and then kill the run.
+        def evolve(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(experiment, "evolve", evolve)
+        cfg = write(tmp_path / "run.cfg", SMALL_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: not enough memory" + detail)
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_delta_scan(self, tmp_path):
         text = SMALL_CFG + "delta_scan_kHz = -30,10\nscan_ion = 1\n"
         cfg = write(tmp_path / "scan.cfg", text)
@@ -212,7 +233,7 @@ BAD_CONFIG_VALUES = [
     "samples = 1",
     "krylov_tol = 0.5",
     "excited_ions = 1,9",
-    "max_krylov_dim = 0",
+    "dimension_cap = 0",
     "g_kHz = nan",
     "g_kHz = -3",
     "total_time_us = -5",
@@ -233,6 +254,20 @@ def test_bad_config_value_exits_2_with_line(tmp_path, capsys, bad):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines) + "\n")
     assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
     assert f"line {len(lines)}: " in capsys.readouterr().err
+
+
+# Keys that only picked or tuned the algorithm, or repeated --output-dir.
+@pytest.mark.parametrize("line", [
+    "method = krylov", "max_krylov_dim = 40", "output_dir = elsewhere",
+], ids=["method", "max_krylov_dim", "output_dir"])
+def test_removed_key_exits_2_as_unknown(tmp_path, capsys, line):
+    lines = small_cfg_with(line)
+    cfg = write(tmp_path / "old.cfg", "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--output-dir", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"line {len(lines)}: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", ""], ids=["text", "nan", "empty"])
@@ -387,6 +422,24 @@ class TestDimension:
         log2 = float(out.split("log2(D) = ")[1])
         assert log2 > 77.0
 
+    def test_more_digits_than_int_str_limit(self, capsys):
+        # D(n, 2) = 2 n^2 has 5,001 digits, above the 4,300 that str() of an
+        # int allows by default (Python 3.10.7 on).
+        n = 10**2500
+        assert main(["dimension", str(n), "2"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        # 0 means no limit, as before Python 3.10.7
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = str(sector_dimension(n, 2))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert len(expected) == 5001
+        assert first == f"D({n},2) = {expected}"
+
 
 @pytest.mark.parametrize("argv", [
     ["dimension", "-1", "3"],
@@ -473,7 +526,7 @@ def per_detuning_series(cfg_path, method):
     req = EvolutionRequest(
         total_time=microseconds(cfg.total_time_us), samples=cfg.samples,
         excited_ions=cfg.excited_ions, method=method,
-        krylov_tol=cfg.krylov_tol, max_krylov_dim=cfg.max_krylov_dim,
+        krylov_tol=cfg.krylov_tol,
     )
     return {
         d: evolve(build_hamiltonian(with_detuning(model, d), basis), req, basis)
@@ -485,7 +538,7 @@ class TestJointScan:
     """A scan's detunings are evolved together as one block-diagonal system."""
 
     # Detunings spanning +-600 kHz: the joint first attempt at each sample
-    # interval exceeds max_krylov_dim, so the step halves.
+    # interval exceeds MAX_KRYLOV_DIM, so the step halves.
     WIDE = (
         "delta_scan_kHz = " + ",".join(str(d) for d in range(-600, 601, 100))
         + "\ntotal_time_us = 100\nsamples = 11"

@@ -108,6 +108,14 @@ class TestEnumerateSector:
         assert excinfo.value.dimension == 157184
         assert excinfo.value.cap == 1000
 
+    def test_full_sector_weights_are_a_read_only_view_of_one(self):
+        basis = enumerate_sector(8, 8)
+        assert basis.weights.shape == (157184,)
+        assert np.all(basis.weights == 1.0)
+        assert basis.weights.strides == (0,)  # holds no array of D ones
+        with pytest.raises(ValueError):
+            basis.weights[0] = 1.0
+
 
 class TestIndexing:
     @pytest.mark.parametrize("n,m", [

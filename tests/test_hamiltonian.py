@@ -82,6 +82,34 @@ def state_index(basis):
     }
 
 
+def per_state_matrix(params, basis):
+    """Dense H on a full sector, assembled state by state from the terms."""
+    n, t = params.n_ions, params.hoppings
+    index = state_index(basis)
+    expected = np.zeros((len(basis), len(basis)))
+    for (ups, occ), col in index.items():
+        for i in range(n):
+            up = ups[i]
+            expected[col, col] += params.detunings[i] * (up - 0.5)
+            expected[col, col] += params.local_frequencies[i] * occ[i]
+            if up:
+                down = list(ups)
+                down[i] = False
+                emitted = list(occ)
+                emitted[i] += 1
+                row = index[tuple(down), tuple(emitted)]
+                value = params.couplings[i] * np.sqrt(occ[i] + 1)
+                expected[row, col] = expected[col, row] = value
+            for j in range(n):
+                if j != i and occ[j] and t[i, j] != 0.0:
+                    hopped = list(occ)
+                    hopped[i] += 1
+                    hopped[j] -= 1
+                    row = index[ups, tuple(hopped)]
+                    expected[row, col] = t[i, j] * np.sqrt((occ[i] + 1) * occ[j])
+    return expected
+
+
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -147,30 +175,8 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (6, 3), (32, 1)])
     def test_matches_per_state_assembly(self, n, m):
         params = random_params(n, 100 * n + m)
-        t = params.hoppings
         basis = enumerate_sector(n, m)
-        index = state_index(basis)
-        expected = np.zeros((len(basis), len(basis)))
-        for (ups, occ), col in index.items():
-            for i in range(n):
-                up = ups[i]
-                expected[col, col] += params.detunings[i] * (up - 0.5)
-                expected[col, col] += params.local_frequencies[i] * occ[i]
-                if up:
-                    down = list(ups)
-                    down[i] = False
-                    emitted = list(occ)
-                    emitted[i] += 1
-                    row = index[tuple(down), tuple(emitted)]
-                    value = params.couplings[i] * np.sqrt(occ[i] + 1)
-                    expected[row, col] = expected[col, row] = value
-                for j in range(n):
-                    if j != i and occ[j] and t[i, j] != 0.0:
-                        hopped = list(occ)
-                        hopped[i] += 1
-                        hopped[j] -= 1
-                        row = index[ups, tuple(hopped)]
-                        expected[row, col] = t[i, j] * np.sqrt((occ[i] + 1) * occ[j])
+        expected = per_state_matrix(params, basis)
         dense = build_hamiltonian(params, basis).dense()
         assert np.array_equal(dense != 0.0, expected != 0.0)
         scale = np.abs(expected).max()
@@ -341,7 +347,7 @@ class TestMirrorEven:
         params = mirror_symmetric_params(n, 7 * n + m)
         full = enumerate_sector(n, m)
         perm, q = mirror_matrices(full)
-        h = build_hamiltonian(params, full).dense()
+        h = per_state_matrix(params, full)
         scale = np.abs(h).max()
         # equal up to the order in which the diagonal sums the ions
         assert np.abs(perm @ h @ perm.T - h).max() <= 1e-15 * scale
@@ -357,7 +363,7 @@ class TestMirrorEven:
         params = random_params(4, 3)
         full = enumerate_sector(4, 3)
         perm, q = mirror_matrices(full)
-        h = build_hamiltonian(params, full).dense()
+        h = per_state_matrix(params, full)
         expected = q.T @ (0.5 * (h + perm @ h @ perm.T)) @ q
         got = build_hamiltonian(params, enumerate_sector(4, 3, mirror_even=True)).dense()
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -368,7 +374,7 @@ class TestMirrorEven:
         params = random_params(n, 11 * n + m)
         full = enumerate_sector(n, m)
         perm, _ = mirror_matrices(full)
-        h = build_hamiltonian(params, full).dense()
+        h = per_state_matrix(params, full)
         norm = np.linalg.norm(h - perm @ h @ perm.T, 2)
         bound = mirror_asymmetry(params, m)
         assert norm <= bound * (1 + 1e-12)

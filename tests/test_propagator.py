@@ -12,6 +12,7 @@ from jchsim.ion_chain import (
     mode_parameters,
 )
 from jchsim.propagator import (
+    MAX_KRYLOV_DIM,
     EvolutionRequest,
     _lanczos_step,
     _tridiag_expm_col,
@@ -346,9 +347,8 @@ class TestLanczosStep:
         assert new_v is None
         assert np.isfinite(err) and err > 1e-12
 
-    # every size up to the default max_krylov_dim, which no shipped
-    # config raises
-    @pytest.mark.parametrize("size", range(1, 41))
+    # every size up to MAX_KRYLOV_DIM
+    @pytest.mark.parametrize("size", range(1, MAX_KRYLOV_DIM + 1))
     def test_tridiag_expm_col_matches_expm(self, size):
         rng = np.random.default_rng(size)
         alphas = rng.uniform(-1.0, 1.0, size)
