@@ -92,7 +92,8 @@ def _cmd_simulate(args):
 def _cmd_dimension(args):
     dim = sector_dimension(args.n_ions, args.excitations)
     # Decimal prints every digit: str() refuses ints above 4300 digits.
-    print(f"D({args.n_ions},{args.excitations}) = {Decimal(dim)}")
+    n, m = (Decimal(x) for x in (args.n_ions, args.excitations))
+    print(f"D({n},{m}) = {Decimal(dim)}")
     print(f"log2(D) = {math.log2(dim):.4f}" if dim > 1 else "log2(D) = 0.0000")
     return EXIT_OK
 

@@ -12,7 +12,6 @@ import math
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
-HBAR = 1.054571817e-34  # J s
 
 # e^2 / (4 pi eps0), the Coulomb force constant between two charges e
 COULOMB_CONSTANT = ELEMENTARY_CHARGE**2 / (4.0 * math.pi * VACUUM_PERMITTIVITY)

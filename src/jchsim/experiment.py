@@ -29,7 +29,9 @@ rename).
 import csv
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, field, fields
+from decimal import Decimal
 
 import numpy as np
 
@@ -87,13 +89,30 @@ class InfeasibleError(RuntimeError):
     """Physically or combinatorially infeasible run (exit code 3)."""
 
 
+# The strings int() accepts: no point, exponent, nan or inf.
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _int(text):
+    """int(text) for any number of digits.
+
+    int() refuses more than 4,300 digits (Python 3.10.7 on) under a
+    process-wide limit; Decimal reads the same digits and converts them
+    exactly.
+    """
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(text)
+    return int(Decimal(text))
+
+
 def _number(kind, low=-math.inf, high=math.inf, above=False):
     """Converter to a finite int or float in [low, high], or (low, high] if above."""
     wants = f"a finite {kind.__name__} in {'(' if above else '['}{low:g}, {high:g}]"
+    parse = _int if kind is int else kind
 
     def convert(text):
         try:
-            value = kind(text)
+            value = parse(text)
         except (TypeError, ValueError):
             value = math.nan
         # not math.isfinite, which overflows on huge ints; nan fails any test

@@ -16,7 +16,6 @@ sigma_z and excitation observables straight from the basis arrays.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,14 +57,6 @@ class SparseHamiltonian:
         self.matrix = matrix  # scipy CSR, float64
         self.params = params
         self.basis = basis
-
-    def dense(self):
-        return self.matrix.toarray()
-
-    @cached_property
-    def mean_diagonal(self):
-        """The constant shift propagate_krylov removes, computed once."""
-        return float(np.mean(self.matrix.diagonal()))
 
 
 def _mirror_pairs(params):

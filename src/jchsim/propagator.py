@@ -2,11 +2,12 @@
 
 Default path is short-iterate Lanczos approximation of exp(-iHt)v with
 adaptive sub-stepping; a dense eigendecomposition oracle is available
-for small sectors.  The mean of the diagonal is removed before
-exponentiation and restored as a global phase afterwards (an allowed
-constant shift), keeping the tridiagonal exponentials well scaled.
-Several Hamiltonians on one basis (a detuning scan) are evolved as one
-block-diagonal system, each block with its own shift.
+for small sectors.  The Krylov path exponentiates the matrix it is
+given: a constant shift of H changes neither the Krylov space nor the
+error estimate, only a global phase.  Several Hamiltonians on one basis
+(a detuning scan) are evolved as one block-diagonal system, each block
+centred on its own mean diagonal, which is restored as a per-block
+phase after each sample.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock_basis import MirrorEvenBasis
+from .hamiltonian import SparseHamiltonian
 
 DENSE_ORACLE_CAP = 2000
 # Largest Krylov subspace of one Lanczos step; a step that does not meet
@@ -179,23 +181,18 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
     Krylov basis is allocated once per call and reused by every step and
     halving.  For a stacked vector of B unit blocks, evolve passes
     krylov_tol / sqrt(B), so that krylov_tol bounds the absolute error of
-    the whole stacked vector.
-    The mean-diagonal shift (one per row, or a scalar) is restored as a
-    phase.
+    the whole stacked vector.  Only h.matrix is read.
     """
     if t_target == 0.0:
         return v0.copy()
     if time_scale is None:
         time_scale = abs(t_target)
-    shift = h.mean_diagonal
     mat = h.matrix
 
     def matvec(x):
         # One real product with the (D, 2) float view of x; scipy would
         # otherwise upcast the real CSR against a complex vector.
-        y = (mat @ x.view(float).reshape(-1, 2)).view(complex).ravel()
-        y -= shift * x
-        return y
+        return (mat @ x.view(float).reshape(-1, 2)).view(complex).ravel()
 
     v = v0.astype(complex, copy=True)
     krylov_basis = np.empty((m_max, v.size), dtype=complex)
@@ -222,20 +219,7 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
         remaining -= dt
         dt *= 1.5  # gentle growth; clipped to the remaining interval above
 
-    return v * np.exp(-1j * shift * t_target)
-
-
-@dataclass(frozen=True)
-class _BlockDiagonal:
-    """Hamiltonians on one basis as one operator for propagate_krylov.
-
-    mean_diagonal holds each row's own block mean, so every block is
-    centred as it would be alone and the detunings' different means do
-    not widen the stacked spectrum.
-    """
-
-    matrix: object  # scipy CSR, float64
-    mean_diagonal: np.ndarray
+    return v
 
 
 def evolve(h, req, basis):
@@ -245,7 +229,11 @@ def evolve(h, req, basis):
     detunings of a scan), which are evolved together from the same
     initial state.  exp(-iHt) of a block-diagonal H is the block-diagonal
     of the blocks' exponentials, so the Krylov path evolves the stacked
-    state of all blocks in one propagate_krylov pass.  basis is a
+    state of all blocks in one propagate_krylov pass.  Each block is
+    centred on its own mean diagonal m_b where the blocks are stacked, so
+    the detunings' different means do not widen the stacked spectrum;
+    block b gets its phase exp(-i m_b dt) back after each sample.  A
+    single Hamiltonian is evolved as it is.  basis is a
     SectorBasis or a MirrorEvenBasis; on the latter, h must be built on
     it, the initial state must be even, and stored states are even-sector
     vectors.  Returns one TimeSeries, or a list of them in the order of h.
@@ -261,15 +249,14 @@ def evolve(h, req, basis):
             raise ValueError(
                 f"dense oracle limited to D <= {DENSE_ORACLE_CAP}, got D = {dim}"
             )
-        eigs = [np.linalg.eigh(x.dense()) for x in hs]
+        eigs = [np.linalg.eigh(x.matrix.toarray()) for x in hs]
         coeffs = [evecs.conj().T @ v0 for _, evecs in eigs]
     elif blocks == 1:
-        stacked, tol = hs[0], req.krylov_tol
+        stacked, tol, means = hs[0], req.krylov_tol, None
     else:
-        stacked = _BlockDiagonal(
-            matrix=sp.block_diag([x.matrix for x in hs], format="csr"),
-            mean_diagonal=np.repeat([x.mean_diagonal for x in hs], dim),
-        )
+        means = np.array([np.mean(x.matrix.diagonal()) for x in hs])
+        centred = [x.matrix - m * sp.identity(dim) for x, m in zip(hs, means)]
+        stacked = SparseHamiltonian(sp.block_diag(centred, format="csr"), None, basis)
         # The estimate is relative to the stacked norm sqrt(B), so this
         # keeps the absolute error of the whole stacked vector, and so of
         # each block, within krylov_tol.
@@ -295,14 +282,13 @@ def evolve(h, req, basis):
                 for (evals, evecs), c in zip(eigs, coeffs)
             ])
         elif k > 0:
+            dt = t - times[k - 1]
             v = propagate_krylov(
-                stacked,
-                v,
-                t - times[k - 1],
-                tol,
-                MAX_KRYLOV_DIM,
-                time_scale=req.total_time,
+                stacked, v, dt, tol, MAX_KRYLOV_DIM, time_scale=req.total_time
             )
+            if means is not None:
+                per_block = v.reshape(blocks, dim)
+                per_block *= np.exp(-1j * means * dt)[:, None]
         for b, vb in enumerate(v.reshape(blocks, dim)):
             nrm = np.linalg.norm(vb)
             norm_drift[b, k] = abs(nrm - 1.0)

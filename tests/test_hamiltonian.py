@@ -122,7 +122,7 @@ class TestBuildHamiltonian:
         delta = khz(20.0)
         g = khz(5.0)
         params = JchParameters([delta], [delta], [g], [[0.0]])
-        h = build_hamiltonian(params, basis).dense()
+        h = build_hamiltonian(params, basis).matrix.toarray()
         # ordering: |down;1> then |up;0>
         expected = np.array([[delta - delta / 2, g], [g, delta / 2]])
         assert h == pytest.approx(expected)
@@ -139,7 +139,7 @@ class TestBuildHamiltonian:
             hoppings=[[0, t12], [t12, 0]],
         )
         h = build_hamiltonian(params, basis)
-        dense = h.dense()
+        dense = h.matrix.toarray()
         index = state_index(basis)
         i_ph1 = index[(False, False), (1, 0)]
         i_ph2 = index[(False, False), (0, 1)]
@@ -162,7 +162,7 @@ class TestBuildHamiltonian:
             hoppings=np.zeros((3, 3)),
         )
         h = build_hamiltonian(params, basis)
-        dense = h.dense()
+        dense = h.matrix.toarray()
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
         for j in range(len(basis)):
             energy = 0.0
@@ -177,7 +177,7 @@ class TestBuildHamiltonian:
         params = random_params(n, 100 * n + m)
         basis = enumerate_sector(n, m)
         expected = per_state_matrix(params, basis)
-        dense = build_hamiltonian(params, basis).dense()
+        dense = build_hamiltonian(params, basis).matrix.toarray()
         assert np.array_equal(dense != 0.0, expected != 0.0)
         scale = np.abs(expected).max()
         assert np.abs(dense - expected).max() <= 1e-14 * scale
@@ -294,7 +294,7 @@ class TestApply:
         basis = enumerate_sector(4, 2)  # D = 32 <= 200
         params = uniform_params(4, khz(5), khz(-3), khz(2), khz(1))
         h = build_hamiltonian(params, basis)
-        dense = h.dense()
+        dense = h.matrix.toarray()
         for seed in range(3):
             v = random_state(len(basis), seed)
             assert h.matrix @ v == pytest.approx(dense @ v, rel=1e-12)
@@ -353,7 +353,7 @@ class TestMirrorEven:
         assert np.abs(perm @ h @ perm.T - h).max() <= 1e-15 * scale
         expected = q.T @ h @ q
         even = build_hamiltonian(params, enumerate_sector(n, m, mirror_even=True))
-        got = even.dense()
+        got = even.matrix.toarray()
         assert np.abs(got - expected).max() <= 1e-14 * scale
         assert np.array_equal(got, got.T)  # bitwise symmetric
         assert even.matrix.has_canonical_format
@@ -365,7 +365,7 @@ class TestMirrorEven:
         perm, q = mirror_matrices(full)
         h = per_state_matrix(params, full)
         expected = q.T @ (0.5 * (h + perm @ h @ perm.T)) @ q
-        got = build_hamiltonian(params, enumerate_sector(4, 3, mirror_even=True)).dense()
+        got = build_hamiltonian(params, enumerate_sector(4, 3, mirror_even=True)).matrix.toarray()
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
         assert np.array_equal(got, got.T)
 
