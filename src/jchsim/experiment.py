@@ -212,7 +212,7 @@ def parse_key_values(path):
 def _read_lines(path):
     """The lines of a UTF-8 text file; other bytes raise ConfigError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -259,8 +259,13 @@ def parse_config(path):
         raise ConfigError(
             f"excited_ions {ions} must be distinct ions in 1..{cfg.n_ions}", ions_line
         )
+    scan = cfg.delta_scan_khz
+    # a set holds 0 and -0 once, though %g names their sub-runs apart
+    if scan is not None and (not scan or len(set(scan)) < len(scan)):
+        raise ConfigError("delta_scan_kHz must list distinct detunings, at least one",
+                          lines["delta_scan_kHz"])
     subdirs = {}
-    for delta in cfg.delta_scan_khz or ():
+    for delta in scan or ():
         name = _scan_subdir(delta)
         if name in subdirs:
             raise ConfigError(

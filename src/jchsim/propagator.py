@@ -2,12 +2,11 @@
 
 Default path is short-iterate Lanczos approximation of exp(-iHt)v with
 adaptive sub-stepping; a dense eigendecomposition oracle is available
-for small sectors.  The Krylov path exponentiates the matrix it is
-given: a constant shift of H changes neither the Krylov space nor the
-error estimate, only a global phase.  Several Hamiltonians on one basis
-(a detuning scan) are evolved as one block-diagonal system, each block
-centred on its own mean diagonal, which is restored as a per-block
-phase after each sample.
+for small sectors.  Only observables are kept.  A constant shift of H
+changes neither the Krylov space nor the error estimate, only a phase no
+observable sees: the Krylov path exponentiates the matrix it is given,
+and the Hamiltonians of a detuning scan, evolved as one block-diagonal
+system, are each centred on their own mean diagonal.
 """
 
 import math
@@ -45,7 +44,6 @@ class EvolutionRequest:
     excited_ions: list
     method: str = "krylov"
     krylov_tol: float = 1e-9
-    store_states: bool = False
 
     def __post_init__(self):
         if self.total_time <= 0:
@@ -66,7 +64,6 @@ class TimeSeries:
     sigma_z: np.ndarray             # (samples, N)
     norm_drift: np.ndarray          # |  ||v|| - 1  | per sample
     excitation_drift: np.ndarray    # | <exc> - M | per sample
-    states: np.ndarray = None       # optional (samples, D) complex
 
 
 def prepare_initial_state(basis, excited_ions):
@@ -95,12 +92,11 @@ def prepare_initial_state(basis, excited_ions):
     return v
 
 
-def _lanczos_step(matvec, v, dt, err_budget, m_max, V=None):
+def _lanczos_step(matvec, v, dt, err_budget, V):
     """One Lanczos exp(-i dt H) v attempt with full reorthogonalization.
 
-    V, if given, is a (m_max, D) complex array the Krylov basis is
-    written into, so that a caller making many attempts allocates it
-    once.
+    V is the (m_max, D) complex array the Krylov basis is written into,
+    so that a caller making many attempts allocates it once.
 
     Returns (new_v, error_estimate) or (None, best_estimate) if the
     budget was not met within m_max iterations.
@@ -113,14 +109,11 @@ def _lanczos_step(matvec, v, dt, err_budget, m_max, V=None):
     iteration are always checked.  Skipping can only add iterations; it
     never accepts a state with a larger estimate.
     """
-    dim = v.size
     tau = abs(dt)
     beta0 = np.linalg.norm(v)
-    if V is None:
-        V = np.empty((m_max, dim), dtype=complex)
     V[0] = v / beta0
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)  # betas[k] couples V[k-1] and V[k]
+    alphas = np.empty(len(V))
+    betas = np.empty(len(V))  # betas[k] couples V[k-1] and V[k]
     lead = 1.0  # |dt|^k * betas[1] ... betas[k] / k!
     scale = 1.0  # max(1, |alphas[0]|, ..., |alphas[k]|)
     err = np.inf
@@ -140,7 +133,7 @@ def _lanczos_step(matvec, v, dt, err_budget, m_max, V=None):
 
         scale = max(scale, abs(alphas[k]))
         happy = beta < 1e-13 * scale
-        last = k + 1 >= m_max
+        last = k + 1 >= len(V)
         # u is a unit column, so |u[-1]| <= 1 caps the Taylor term.
         screen = tau * beta * min(lead, 1.0)
         if happy or (k >= 1 and (last or screen <= SCREEN_FACTOR * err_budget)):
@@ -205,8 +198,7 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
     while remaining > 0.0:
         dt = min(dt, remaining)
         budget = tol * dt / time_scale
-        new_v, err = _lanczos_step(matvec, v, direction * dt, budget, m_max,
-                                   krylov_basis)
+        new_v, err = _lanczos_step(matvec, v, direction * dt, budget, krylov_basis)
         if new_v is None:
             dt *= 0.5
             if dt < min_dt:
@@ -226,22 +218,20 @@ def evolve(h, req, basis):
     """Sample per-ion <sigma_z> on a uniform grid under the Hamiltonian.
 
     h is one SparseHamiltonian, or a list of them on the same basis (the
-    detunings of a scan), which are evolved together from the same
-    initial state.  exp(-iHt) of a block-diagonal H is the block-diagonal
-    of the blocks' exponentials, so the Krylov path evolves the stacked
-    state of all blocks in one propagate_krylov pass.  Each block is
-    centred on its own mean diagonal m_b where the blocks are stacked, so
-    the detunings' different means do not widen the stacked spectrum;
-    block b gets its phase exp(-i m_b dt) back after each sample.  A
-    single Hamiltonian is evolved as it is.  basis is a
-    SectorBasis or a MirrorEvenBasis; on the latter, h must be built on
-    it, the initial state must be even, and stored states are even-sector
-    vectors.  Returns one TimeSeries, or a list of them in the order of h.
+    detunings of a scan), evolved together from the same initial state.
+    exp(-iHt) of a block-diagonal H is the block-diagonal of the blocks'
+    exponentials, so the Krylov path evolves the stacked state of all
+    blocks in one propagate_krylov pass.  Where the blocks are stacked,
+    each is centred on its own mean diagonal m_b, so the detunings'
+    different means do not widen the stacked spectrum; that multiplies
+    block b only by exp(i m_b t), a phase no sampled observable sees.  A
+    single Hamiltonian is evolved as it is.  basis is a SectorBasis or a
+    MirrorEvenBasis; on the latter, h must be built on it and the initial
+    state must be even.  Returns one TimeSeries, or a list in the order of h.
     """
     hs = h if isinstance(h, list) else [h]
     blocks, dim = len(hs), basis.dimension
     v0 = prepare_initial_state(basis, req.excited_ions)
-
     times = np.linspace(0.0, req.total_time, req.samples)
 
     if req.method == "dense-oracle":
@@ -252,19 +242,18 @@ def evolve(h, req, basis):
         eigs = [np.linalg.eigh(x.matrix.toarray()) for x in hs]
         coeffs = [evecs.conj().T @ v0 for _, evecs in eigs]
     elif blocks == 1:
-        stacked, tol, means = hs[0], req.krylov_tol, None
+        stacked, tol = hs[0], req.krylov_tol
     else:
-        means = np.array([np.mean(x.matrix.diagonal()) for x in hs])
-        centred = [x.matrix - m * sp.identity(dim) for x, m in zip(hs, means)]
+        centred = [x.matrix - np.mean(x.matrix.diagonal()) * sp.identity(dim)
+                   for x in hs]
         stacked = SparseHamiltonian(sp.block_diag(centred, format="csr"), None, basis)
         # The estimate is relative to the stacked norm sqrt(B), so this
         # keeps the absolute error of the whole stacked vector, and so of
         # each block, within krylov_tol.
         tol = req.krylov_tol / math.sqrt(blocks)
 
-    # Observables are taken as each sample is produced, so only the
-    # current state is held unless the caller asked for all of them:
-    # <sigma_z> = |v|^2 @ signs and <exc> = |v|^2 @ totals.
+    # Only the current state is held; each sample's observables are read
+    # off it: <sigma_z> = |v|^2 @ signs and <exc> = |v|^2 @ totals.
     # On a MirrorEvenBasis the signs are orbit means: sigma_z is diagonal,
     # so an even vector's <sigma_z^i> is |v_a|^2 times its orbit's mean.
     m = basis.excitations
@@ -273,7 +262,6 @@ def evolve(h, req, basis):
     sz = np.empty((blocks, req.samples, basis.n_ions))
     norm_drift = np.empty((blocks, req.samples))
     exc_drift = np.empty((blocks, req.samples))
-    kept = []
     v = np.tile(v0, blocks)
     for k, t in enumerate(times):
         if req.method == "dense-oracle":
@@ -282,31 +270,18 @@ def evolve(h, req, basis):
                 for (evals, evecs), c in zip(eigs, coeffs)
             ])
         elif k > 0:
-            dt = t - times[k - 1]
-            v = propagate_krylov(
-                stacked, v, dt, tol, MAX_KRYLOV_DIM, time_scale=req.total_time
-            )
-            if means is not None:
-                per_block = v.reshape(blocks, dim)
-                per_block *= np.exp(-1j * means * dt)[:, None]
+            v = propagate_krylov(stacked, v, t - times[k - 1], tol,
+                                 MAX_KRYLOV_DIM, time_scale=req.total_time)
         for b, vb in enumerate(v.reshape(blocks, dim)):
             nrm = np.linalg.norm(vb)
             norm_drift[b, k] = abs(nrm - 1.0)
             probs = np.abs(vb / nrm) ** 2
             sz[b, k] = probs @ signs
             exc_drift[b, k] = abs(float(probs @ totals) - m)
-        if req.store_states:
-            kept.append(v.reshape(blocks, dim))
 
-    states = np.array(kept) if req.store_states else None
     series = [
-        TimeSeries(
-            times=times,
-            sigma_z=sz[b],
-            norm_drift=norm_drift[b],
-            excitation_drift=exc_drift[b],
-            states=None if states is None else states[:, b],
-        )
+        TimeSeries(times=times, sigma_z=sz[b], norm_drift=norm_drift[b],
+                   excitation_drift=exc_drift[b])
         for b in range(blocks)
     ]
     return series if isinstance(h, list) else series[0]

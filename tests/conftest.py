@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from jchsim import propagator
@@ -88,3 +89,26 @@ def record_lanczos_steps(monkeypatch):
 
     monkeypatch.setattr(propagator, "_lanczos_step", logged)
     return log
+
+
+def sampled_states(h, req, basis):
+    """The states evolve samples for one Hamiltonian, one row per time.
+
+    req.method picks the path.  "krylov" steps propagate_krylov from
+    prepare_initial_state between the sample times with
+    time_scale=total_time, as evolve does for a single Hamiltonian;
+    "dense-oracle" uses the dense eigendecomposition of H.
+    """
+    v = propagator.prepare_initial_state(basis, req.excited_ions)
+    times = np.linspace(0.0, req.total_time, req.samples)
+    if req.method == "dense-oracle":
+        evals, evecs = np.linalg.eigh(h.matrix.toarray())
+        c = evecs.conj().T @ v
+        return np.array([evecs @ (np.exp(-1j * evals * t) * c) for t in times])
+    states = [v]
+    for dt in np.diff(times):
+        states.append(propagator.propagate_krylov(
+            h, states[-1], dt, req.krylov_tol, propagator.MAX_KRYLOV_DIM,
+            time_scale=req.total_time,
+        ))
+    return np.array(states)

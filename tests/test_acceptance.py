@@ -11,8 +11,9 @@ import numpy as np
 import jchsim
 from jchsim.constants import khz, mhz, to_khz, to_microns
 from jchsim.experiment import parse_config, resolve_model, run, with_detuning
+from jchsim.propagator import DENSE_ORACLE_CAP
 
-from conftest import CHAIN_TABLES, CONFIG_DIR, record_lanczos_steps
+from conftest import CHAIN_TABLES, CONFIG_DIR, record_lanczos_steps, sampled_states
 
 
 def report(number, name, passed):
@@ -137,7 +138,7 @@ def test_06_oracle_equivalence_shipped_configs():
         if cfg.delta_scan_khz:
             continue
         dim = jchsim.sector_dimension(cfg.n_ions, cfg.excitations)
-        if dim > 2000:  # dense-oracle cap
+        if dim > DENSE_ORACLE_CAP:
             continue
         model = resolve_model(cfg)
         basis = jchsim.enumerate_sector(cfg.n_ions, cfg.excitations)
@@ -146,17 +147,19 @@ def test_06_oracle_equivalence_shipped_configs():
             total_time=cfg.total_time_us * 1e-6,
             samples=cfg.samples,
             excited_ions=cfg.excited_ions,
-            store_states=True,
         )
-        krylov = jchsim.evolve(
-            h, jchsim.EvolutionRequest(method="krylov", **kw), basis
-        )
-        dense = jchsim.evolve(
+        krylov_req = jchsim.EvolutionRequest(method="krylov", **kw)
+        krylov = sampled_states(h, krylov_req, basis)
+        dense = sampled_states(
             h, jchsim.EvolutionRequest(method="dense-oracle", **kw), basis
         )
-        diff = np.max(np.abs(krylov.states - dense.states))
-        ok &= diff < 1e-8
-        checked.append((name, dim, diff))
+        diff = np.max(np.abs(krylov - dense))
+        # evolve's own sigma_z against that of the dense eigh states; the
+        # largest difference seen is 2.0e-11 (fig3fg)
+        sz = jchsim.evolve(h, krylov_req, basis).sigma_z
+        sz_diff = np.max(np.abs(sz - np.abs(dense) ** 2 @ basis.spin_signs()))
+        ok &= diff < 1e-8 and sz_diff < 1e-8
+        checked.append((name, dim, diff, sz_diff))
     elapsed = time.monotonic() - start
     ok &= len(checked) >= 10  # fig2a, fig2cde, fig2fgh, fig3b-g, fig4a-e
     report(6, "krylov vs dense oracle on shipped configs",
@@ -175,13 +178,12 @@ def test_07_conservation_suite():
     h = jchsim.build_hamiltonian(params, basis)
     req = jchsim.EvolutionRequest(
         total_time=1e-3, samples=101, excited_ions=[1, 2, 3, 4],
-        store_states=True,
     )
     series = jchsim.evolve(h, req, basis)
     ok = series.norm_drift.max() < 1e-9
     ok &= series.excitation_drift.max() < 1e-9
     energies = np.array(
-        [np.real(np.vdot(v, h.matrix @ v)) for v in series.states]
+        [np.real(np.vdot(v, h.matrix @ v)) for v in sampled_states(h, req, basis)]
     )
     ok &= np.max(np.abs(energies - energies[0])) < 1e-8 * abs(energies[0])
 

@@ -245,6 +245,10 @@ BAD_CONFIG_VALUES = [
     # sub-run directories are named with %g, so these would overwrite
     "delta_scan_kHz = -15.0000001,-15.0000002,-15",
     "delta_scan_kHz = 10,-30,10",
+    # a scan lists at least one detuning; 0 and -0 would write two equal
+    # sub-runs, delta_0kHz and delta_-0kHz
+    "delta_scan_kHz = ,",
+    "delta_scan_kHz = 0,-0",
 ]
 
 
@@ -254,6 +258,35 @@ def test_bad_config_value_exits_2_with_line(tmp_path, capsys, bad):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines) + "\n")
     assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
     assert f"line {len(lines)}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def write_with_bom(path, text):
+    """text as UTF-8 after a byte-order mark, as some editors save it."""
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    return str(path)
+
+
+def test_config_with_byte_order_mark_runs(tmp_path):
+    plain = write(tmp_path / "plain.cfg", SMALL_CFG)
+    marked = write_with_bom(tmp_path / "marked.cfg", SMALL_CFG)
+    out1, out2 = tmp_path / "plain", tmp_path / "marked"
+    assert main(["simulate", plain, "--output-dir", str(out1)]) == 0
+    assert main(["simulate", marked, "--output-dir", str(out2)]) == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir()) and files
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_rabi_csv_with_byte_order_mark_runs(tmp_path, capsys):
+    text = "position_um,rabi_kHz\n-50,30\n-20,45\n0,50\n20,45\n50,30\n"
+    plain = write(tmp_path / "plain.csv", text)
+    marked = write_with_bom(tmp_path / "marked.csv", text)
+    assert main(["calibrate", "--rabi", plain]) == 0
+    expected = capsys.readouterr().out
+    assert main(["calibrate", "--rabi", marked]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # Keys that only picked or tuned the algorithm, or repeated --output-dir.

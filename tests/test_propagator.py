@@ -23,6 +23,8 @@ from jchsim.propagator import (
     propagate_krylov,
 )
 
+from conftest import sampled_states
+
 
 def single_site(g, delta, omega):
     basis = enumerate_sector(1, 1)
@@ -136,11 +138,12 @@ class TestEvolve:
 
     def test_krylov_matches_dense_oracle_fig2a(self):
         basis, h = fig2a_model()
-        kw = dict(total_time=5e-4, samples=101, excited_ions=[1, 2],
-                  store_states=True)
-        krylov = evolve(h, EvolutionRequest(method="krylov", **kw), basis)
-        dense = evolve(h, EvolutionRequest(method="dense-oracle", **kw), basis)
-        assert np.max(np.abs(krylov.states - dense.states)) < 1e-8
+        kw = dict(total_time=5e-4, samples=101, excited_ions=[1, 2])
+        krylov = sampled_states(h, EvolutionRequest(method="krylov", **kw), basis)
+        dense = sampled_states(
+            h, EvolutionRequest(method="dense-oracle", **kw), basis
+        )
+        assert np.max(np.abs(krylov - dense)) < 1e-8
 
     def test_dense_oracle_cap(self):
         basis = enumerate_sector(8, 8)
@@ -163,13 +166,13 @@ class TestEvolve:
         basis, h = band_edge_model()
         req = EvolutionRequest(
             total_time=1e-3, samples=51, excited_ions=[1, 2, 3, 4],
-            store_states=True,
         )
         series = evolve(h, req, basis)
         assert series.norm_drift.max() < 1e-9
         assert series.excitation_drift.max() < 1e-9
         energies = [
-            np.real(np.vdot(v, h.matrix @ v)) for v in series.states
+            np.real(np.vdot(v, h.matrix @ v))
+            for v in sampled_states(h, req, basis)
         ]
         e0 = energies[0]
         assert np.max(np.abs(np.array(energies) - e0)) < 1e-8 * abs(e0)
@@ -229,16 +232,13 @@ class TestEvolveList:
     def test_blocks_match_single_evolutions(self):
         basis, h = fig2a_model()
         hs = [self.detuned(basis, h, d) for d in (-90.0, -60.0, 20.0)]
-        kw = dict(total_time=5e-4, samples=26, excited_ions=[1, 2],
-                  store_states=True)
+        kw = dict(total_time=5e-4, samples=26, excited_ions=[1, 2])
         for method, tol in (("dense-oracle", 0.0), ("krylov", 1e-10)):
             req = EvolutionRequest(method=method, **kw)
             joint = evolve(hs, req, basis)
             assert len(joint) == len(hs)
             for x, series in zip(hs, joint):
                 alone = evolve(x, req, basis)
-                assert series.states.shape == alone.states.shape
-                assert np.max(np.abs(series.states - alone.states)) <= tol
                 assert np.max(np.abs(series.sigma_z - alone.sigma_z)) <= tol
 
 
@@ -286,6 +286,12 @@ def counting(matvec):
     return counted, calls
 
 
+def lanczos_step(matvec, v, dt, budget, m_max):
+    """_lanczos_step with a fresh (m_max, D) Krylov basis."""
+    return _lanczos_step(matvec, v, dt, budget,
+                         np.empty((m_max, v.size), dtype=complex))
+
+
 def unscreened_stop(ests, budget):
     """(k, estimate, converged) at which a step without the screen stops."""
     for k, est in enumerate(ests):
@@ -316,7 +322,7 @@ class TestLanczosStep:
         for budget in budgets:
             k, est, converged = unscreened_stop(ests, budget)
             counted, calls = counting(matvec)
-            new_v, err = _lanczos_step(counted, v, dt, budget, self.M_MAX)
+            new_v, err = lanczos_step(counted, v, dt, budget, self.M_MAX)
             if new_v is not None:
                 assert err <= budget
             if budget > self.MAX_STEP_BUDGET:
@@ -337,14 +343,14 @@ class TestLanczosStep:
         ests = unscreened_estimates(lambda x: h @ x, v, 1.0, 4)
         assert unscreened_stop(ests, 2e-6)[0] == 1
         counted, calls = counting(lambda x: h @ x)
-        new_v, err = _lanczos_step(counted, v, 1.0, 2e-6, 4)
+        new_v, err = lanczos_step(counted, v, 1.0, 2e-6, 4)
         assert len(calls) == 2 and new_v is not None
 
     def test_fig2a_breakdown_returns_exact_state(self):
         basis, h = fig2a_model()
         matvec = plain_matvec(h)
         v = prepare_initial_state(basis, [1, 2])
-        new_v, err = _lanczos_step(matvec, v, 1e-3, 1e-300, self.M_MAX)
+        new_v, err = lanczos_step(matvec, v, 1e-3, 1e-300, self.M_MAX)
         exact = scipy.linalg.expm(-1j * 1e-3 * h.matrix.toarray()) @ v
         assert err == 0.0
         assert np.max(np.abs(new_v - exact)) < 1e-10
@@ -352,7 +358,7 @@ class TestLanczosStep:
     def test_step_hitting_m_max_returns_finite_estimate(self):
         basis, h = band_edge_model()
         v = prepare_initial_state(basis, [1, 2, 3, 4])
-        new_v, err = _lanczos_step(plain_matvec(h), v, 1e-3, 1e-12, 5)
+        new_v, err = lanczos_step(plain_matvec(h), v, 1e-3, 1e-12, 5)
         assert new_v is None
         assert np.isfinite(err) and err > 1e-12
 
@@ -408,12 +414,17 @@ class TestMirrorEvenSector:
         full = enumerate_sector(6, 6)
         even = enumerate_sector(6, 6, mirror_even=True)
         req = EvolutionRequest(total_time=100e-6, samples=11,
-                               excited_ions=list(range(1, 7)), store_states=True)
-        a = evolve(build_hamiltonian(params, full), req, full)
-        b = evolve(build_hamiltonian(params, even), req, even)
-        assert b.states.shape == (11, 2687)
+                               excited_ions=list(range(1, 7)))
+        h_full = build_hamiltonian(params, full)
+        h_even = build_hamiltonian(params, even)
+        a = evolve(h_full, req, full)
+        b = evolve(h_even, req, even)
+        even_states = sampled_states(h_even, req, even)
+        assert even_states.shape == (11, 2687)
         assert np.max(np.abs(a.sigma_z - b.sigma_z)) <= self.TOL
-        assert np.max(np.abs(lift(even, b.states) - a.states)) <= self.TOL
+        assert (np.max(np.abs(lift(even, even_states)
+                              - sampled_states(h_full, req, full)))
+                <= self.TOL)
         assert b.norm_drift.max() <= 1e-12
         assert b.excitation_drift.max() <= 1e-12
 
@@ -423,15 +434,20 @@ class TestMirrorEvenSector:
         m = len(excited)
         full = enumerate_sector(5, m)
         even = enumerate_sector(5, m, mirror_even=True)
-        kw = dict(total_time=300e-6, samples=31, excited_ions=excited,
-                  store_states=True)
-        dense = evolve(build_hamiltonian(params, full),
-                       EvolutionRequest(method="dense-oracle", **kw), full)
+        kw = dict(total_time=300e-6, samples=31, excited_ions=excited)
+        dense_states = sampled_states(
+            build_hamiltonian(params, full),
+            EvolutionRequest(method="dense-oracle", **kw), full,
+        )
+        dense_sz = np.abs(dense_states) ** 2 @ full.spin_signs()
         h = build_hamiltonian(params, even)
         for method in ("krylov", "dense-oracle"):
-            got = evolve(h, EvolutionRequest(method=method, **kw), even)
-            assert np.max(np.abs(got.sigma_z - dense.sigma_z)) <= self.TOL
-            assert np.max(np.abs(lift(even, got.states) - dense.states)) <= self.TOL
+            req = EvolutionRequest(method=method, **kw)
+            got = evolve(h, req, even)
+            assert np.max(np.abs(got.sigma_z - dense_sz)) <= self.TOL
+            assert (np.max(np.abs(lift(even, sampled_states(h, req, even))
+                                  - dense_states))
+                    <= self.TOL)
 
     def test_odd_initial_state_rejected(self):
         even = enumerate_sector(4, 2, mirror_even=True)
