@@ -134,7 +134,15 @@ def _choice(*options):
 
 
 def _list_of(convert):
-    return lambda text: [convert(tok) for tok in map(str.strip, text.split(",")) if tok]
+    """Converter of a comma-separated list; an empty entry is refused."""
+
+    def convert_list(text):
+        tokens = [tok.strip() for tok in text.split(",")]
+        if "" in tokens:
+            raise ValueError(f"{text!r} has an empty list entry")
+        return [convert(tok) for tok in tokens]
+
+    return convert_list
 
 
 _FINITE = _number(float)
@@ -261,8 +269,8 @@ def parse_config(path):
         )
     scan = cfg.delta_scan_khz
     # a set holds 0 and -0 once, though %g names their sub-runs apart
-    if scan is not None and (not scan or len(set(scan)) < len(scan)):
-        raise ConfigError("delta_scan_kHz must list distinct detunings, at least one",
+    if scan is not None and len(set(scan)) < len(scan):
+        raise ConfigError("delta_scan_kHz must list distinct detunings",
                           lines["delta_scan_kHz"])
     subdirs = {}
     for delta in scan or ():

@@ -249,6 +249,12 @@ BAD_CONFIG_VALUES = [
     # sub-runs, delta_0kHz and delta_-0kHz
     "delta_scan_kHz = ,",
     "delta_scan_kHz = 0,-0",
+    # an empty list entry is refused, not dropped; with excitations = 0
+    # an empty excited_ions list would otherwise run with no excitation
+    "excited_ions = ,",
+    "excitations = 0\nexcited_ions = ,",
+    "excited_ions = 1,,2",
+    "spacings_um = 5.280,",
 ]
 
 

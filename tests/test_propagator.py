@@ -300,6 +300,13 @@ def unscreened_stop(ests, budget):
     return len(ests) - 1, ests[-1], False
 
 
+def max_overlap(rows):
+    """max |<rows[i], rows[j]>| over i != j."""
+    gram = np.abs(rows.conj() @ rows.T)
+    np.fill_diagonal(gram, 0.0)
+    return gram.max()
+
+
 class TestLanczosStep:
     M_MAX = 40
     # The largest budget propagate_krylov hands a step: krylov_tol <= 1e-3
@@ -361,6 +368,31 @@ class TestLanczosStep:
         new_v, err = lanczos_step(plain_matvec(h), v, 1e-3, 1e-12, 5)
         assert new_v is None
         assert np.isfinite(err) and err > 1e-12
+
+    def test_basis_stays_semi_orthogonal(self):
+        # A band-edge step that accepts after more than 30 iterations, by
+        # which point plain three-term Lanczos has lost orthogonality far
+        # beyond the reorthogonalization threshold min(budget, sqrt(eps)).
+        basis, h = band_edge_model()
+        matvec = plain_matvec(h)
+        v = prepare_initial_state(basis, [1, 2, 3, 4])
+        dt, budget = 3e-5, 1e-9
+        threshold = min(budget, np.sqrt(np.finfo(float).eps))
+        counted, calls = counting(matvec)
+        V = np.zeros((self.M_MAX, v.size), dtype=complex)
+        new_v, err = _lanczos_step(counted, v, dt, budget, V)
+        k = len(calls)
+        assert new_v is not None and err <= budget and k > 30
+        assert max_overlap(V[:k]) <= threshold
+
+        plain = [v / np.linalg.norm(v)]
+        beta = 0.0
+        for j in range(k - 1):
+            w = matvec(plain[j]) - (beta * plain[j - 1] if j else 0.0)
+            w = w - np.vdot(plain[j], w).real * plain[j]
+            beta = np.linalg.norm(w)
+            plain.append(w / beta)
+        assert max_overlap(np.array(plain)) > threshold
 
     # every size up to MAX_KRYLOV_DIM
     @pytest.mark.parametrize("size", range(1, MAX_KRYLOV_DIM + 1))
@@ -455,6 +487,54 @@ class TestMirrorEvenSector:
             prepare_initial_state(even, [1, 2])
         v = prepare_initial_state(even, [1, 4])
         assert np.count_nonzero(v) == 1 and np.abs(v).max() == 1.0
+
+
+class TestAccuracyLadder:
+    """propagate_krylov against expm_multiply at the sizes users run.
+
+    One 6 us window (the sample spacing of the sector8x8 benchmark) at
+    the Fig. 2b parameters, all ions excited, krylov_tol = 1e-9: the full
+    sectors N = M = 5 and 6, the mirror-even sectors N = M = 7 and 8, and
+    a band-edge 4-ion step that accepts after more than 30 iterations.
+    """
+
+    TOL = 1e-9
+    # Mirror-symmetric chains; N = 8 is the Fig. 2b chain, the others its
+    # central spacings.
+    SPACINGS = {
+        5: [6.496, 6.030, 6.030, 6.496],
+        6: [6.496, 6.030, 5.940, 6.030, 6.496],
+        7: [6.496, 6.030, 5.940, 5.940, 6.030, 6.496],
+        8: [7.655, 6.496, 6.030, 5.940, 6.030, 6.496, 7.655],
+    }
+
+    @staticmethod
+    def realized_error(basis, h, t):
+        from scipy.sparse.linalg import expm_multiply
+
+        v0 = prepare_initial_state(basis, range(1, basis.n_ions + 1))
+        got = propagate_krylov(h, v0, t, TestAccuracyLadder.TOL, MAX_KRYLOV_DIM)
+        exact = expm_multiply(-1j * t * h.matrix, v0)
+        return np.linalg.norm(got - exact)
+
+    @pytest.mark.parametrize("n,even,dimension", [
+        (5, False, 1002), (6, False, 5336), (7, True, 14470), (8, True, 78688),
+    ])
+    def test_fig2b_window(self, n, even, dimension):
+        basis = enumerate_sector(n, n, mirror_even=even)
+        assert basis.dimension == dimension
+        h = build_hamiltonian(symmetric_chain(self.SPACINGS[n], 2.756), basis)
+        err = self.realized_error(basis, h, 6e-6)
+        assert err <= self.TOL, f"D = {dimension}: realized error {err:.3e}"
+
+    def test_band_edge_long_step(self):
+        basis, h = band_edge_model()
+        counted, calls = counting(plain_matvec(h))
+        v0 = prepare_initial_state(basis, [1, 2, 3, 4])
+        lanczos_step(counted, v0, 3e-5, self.TOL, MAX_KRYLOV_DIM)
+        assert len(calls) > 30
+        err = self.realized_error(basis, h, 3e-5)
+        assert err <= self.TOL, f"band edge: realized error {err:.3e}"
 
 
 class TestAverageSigmaZ:
