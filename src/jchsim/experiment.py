@@ -2,28 +2,29 @@
 
 Configs are flat key=value text files (comments with '#', lists
 comma-separated).  ExperimentConfig is the whole grammar: each field
-carries its key and a converter that refuses non-finite and out-of-range
-values.  parse_config and the calibration CSV readers read UTF-8 and
-raise ConfigError naming the line of any bad key, value or cell, or the
-file if it is not UTF-8.  A run resolves the chain geometry, anchors the
-transverse trap frequency and derives the beam's per-ion couplings and
-Stark offsets, all once per config; with_detuning adds each central
-detuning.  It then builds the sector Hamiltonian, evolves it with the
-Krylov propagator, and writes timeseries.csv, modes.csv, t_matrix.csv,
-params.txt and plot.svg into the output directory.  A config sets the
-model and krylov_tol, never which algorithm runs or how it is tuned.  A
-run whose chain and initial state are mirror-symmetric (to within a
-share of krylov_tol, see _evolves_even) builds and evolves only the
-mirror-even sector, about half the states; its artifacts are those of
-the full sector.  A scan evolves its detunings in groups, each group as
-one block-diagonal system, and writes one sub-run directory per
-detuning; a single run is a scan of one detuning written into the
-output directory itself.  An output path that cannot become a directory
-is refused before any work, and the output directory is made only once
-the run has results, so a run that fails before then leaves none.  This
-module is the only one that knows the artifact formats (svgplot draws
-the plot) or writes files, and it writes each file atomically (temp +
-rename).
+carries its key and a converter that refuses out-of-range values and
+values that are not finite, or that turn infinite or zero in SI units;
+the config keeps the file's units.  parse_config and the calibration CSV
+readers read UTF-8 and raise ConfigError naming the line of any bad key,
+value or cell, or the file if it is not UTF-8.  A run resolves the chain
+geometry, anchors the transverse trap frequency and derives the beam's
+per-ion couplings and Stark offsets, all once per config; with_detuning
+adds each central detuning.  It then builds the sector Hamiltonian,
+evolves it with the Krylov propagator, and writes timeseries.csv,
+modes.csv, t_matrix.csv, params.txt and plot.svg into the output
+directory.  A config sets the model and krylov_tol, never which
+algorithm runs or how it is tuned.  A run whose chain and initial state
+are mirror-symmetric (to within a share of krylov_tol, see
+_evolves_even) builds and evolves only the mirror-even sector, about
+half the states; its artifacts are those of the full sector.  A scan
+evolves its detunings in groups, each group as one block-diagonal
+system, and writes one sub-run directory per detuning; a single run is a
+scan of one detuning written into the output directory itself.  An
+output path that cannot become a directory is refused before any work,
+and the output directory is made only once the run has results, so a run
+that fails before then leaves none.  This module is the only one that
+knows the artifact formats (svgplot draws the plot) or writes files, and
+it writes each file atomically (temp + rename).
 """
 
 import csv
@@ -105,8 +106,13 @@ def _int(text):
     return int(Decimal(text))
 
 
-def _number(kind, low=-math.inf, high=math.inf, above=False):
-    """Converter to a finite int or float in [low, high], or (low, high] if above."""
+def _number(kind, low=-math.inf, high=math.inf, above=False, unit=None):
+    """Converter to a finite int or float in [low, high], or (low, high] if above.
+
+    The value stays in the file's units.  With a unit (the constants
+    helper that converts it to SI, such as khz), the SI value must be
+    finite too, and nonzero if the value is.
+    """
     wants = f"a finite {kind.__name__} in {'(' if above else '['}{low:g}, {high:g}]"
     parse = _int if kind is int else kind
 
@@ -119,6 +125,10 @@ def _number(kind, low=-math.inf, high=math.inf, above=False):
         if not (abs(value) < math.inf and value <= high
                 and (value > low if above else value >= low)):
             raise ValueError(f"{text!r} is not {wants}")
+        if unit is not None:
+            si = unit(value)
+            if not math.isfinite(si) or (si == 0.0) != (value == 0.0):
+                raise ValueError(f"{text!r} is {si:g} in SI units")
         return value
 
     return convert
@@ -145,8 +155,12 @@ def _list_of(convert):
     return convert_list
 
 
-_FINITE = _number(float)
-_POSITIVE = _number(float, 0, above=True)
+def _finite(unit=None):
+    return _number(float, unit=unit)
+
+
+def _positive(unit):
+    return _number(float, 0, above=True, unit=unit)
 
 
 def _key(name, convert, default=MISSING):
@@ -164,27 +178,27 @@ class ExperimentConfig:
     """
 
     n_ions: int = _key("n_ions", _number(int, 1))
-    g_khz: float = _key("g_kHz", _POSITIVE)
-    delta_khz: float = _key("delta_kHz", _FINITE)
-    total_time_us: float = _key("total_time_us", _POSITIVE)
+    g_khz: float = _key("g_kHz", _positive(khz))
+    delta_khz: float = _key("delta_kHz", _finite(khz))
+    total_time_us: float = _key("total_time_us", _positive(microseconds))
     samples: int = _key("samples", _number(int, 2))
     excitations: int = _key("excitations", _number(int, 0), None)
     excited_ions: list = _key("excited_ions", _list_of(_number(int, 1)), None)
     geometry_source: str = _key(
         "geometry", _choice("spacings", "trap", "spectrum"), "spacings"
     )
-    spacings_um: list = _key("spacings_um", _list_of(_POSITIVE), None)
+    spacings_um: list = _key("spacings_um", _list_of(_positive(microns)), None)
     spectrum_file: str = _key("spectrum_file", str, None)
-    transverse_mhz: float = _key("transverse_MHz", _POSITIVE, None)
-    axial_khz: float = _key("axial_kHz", _POSITIVE, None)
-    quartic: float = _key("quartic", _FINITE, 0.0)
-    top_mode_mhz: float = _key("top_mode_MHz", _POSITIVE, None)
-    waist_um: float = _key("waist_um", _FINITE, 162.0)  # <= 0: flat beam
-    stark_khz: float = _key("stark_kHz", _FINITE, 0.0)
-    beam_center_um: float = _key("beam_center_um", _FINITE, 0.0)
+    transverse_mhz: float = _key("transverse_MHz", _positive(mhz), None)
+    axial_khz: float = _key("axial_kHz", _positive(khz), None)
+    quartic: float = _key("quartic", _finite(), 0.0)
+    top_mode_mhz: float = _key("top_mode_MHz", _positive(mhz), None)
+    waist_um: float = _key("waist_um", _finite(microns), 162.0)  # <= 0: flat beam
+    stark_khz: float = _key("stark_kHz", _finite(khz), 0.0)
+    beam_center_um: float = _key("beam_center_um", _finite(microns), 0.0)
     krylov_tol: float = _key("krylov_tol", _number(float, 0, 1e-3, above=True), 1e-9)
     dimension_cap: int = _key("dimension_cap", _number(int, 1), DEFAULT_DIMENSION_CAP)
-    delta_scan_khz: list = _key("delta_scan_kHz", _list_of(_FINITE), None)
+    delta_scan_khz: list = _key("delta_scan_kHz", _list_of(_finite(khz)), None)
     scan_ion: int = _key("scan_ion", _number(int, 1), None)
 
 
@@ -571,36 +585,38 @@ def _scan_subdir(delta_khz):
     return f"delta_{delta_khz:g}kHz"
 
 
-def _read_columns(path, *names):
-    """The named columns of a CSV file with a header row, as finite floats.
+def _read_columns(path, **units):
+    """The named columns of a CSV file with a header row, in SI units.
 
-    A missing column or a bad cell raises ConfigError; a bad cell's
+    units maps each column name to the constants helper that converts
+    its cells to SI.  A cell is checked as a config value with that unit
+    is.  A missing column or a bad cell raises ConfigError; a bad cell's
     error names its line in the file.
     """
-    columns = [[] for _ in names]
+    converts = {name: _finite(unit) for name, unit in units.items()}
+    columns = {name: [] for name in units}
     reader = csv.DictReader(_read_lines(path))
-    if reader.fieldnames is None or not set(names) <= set(reader.fieldnames):
-        raise ConfigError(f"{path}: expected columns {','.join(names)}")
+    if reader.fieldnames is None or not set(units) <= set(reader.fieldnames):
+        raise ConfigError(f"{path}: expected columns {','.join(units)}")
     for row in reader:
-        for name, column in zip(names, columns):
+        for name, column in columns.items():
             try:
-                column.append(_FINITE(row[name]))
+                column.append(units[name](converts[name](row[name])))
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: bad {name} cell: {exc}", reader.line_num
                 ) from exc
-    return columns
+    return list(columns.values())
 
 
 def read_spectrum_csv(path):
     """Measured collective modes: CSV with columns index, frequency_MHz."""
-    (frequencies,) = _read_columns(path, "frequency_MHz")
+    (frequencies,) = _read_columns(path, frequency_MHz=mhz)
     if len(frequencies) < 2:
         raise ConfigError(f"{path}: need at least two modes")
-    return [mhz(f) for f in frequencies]
+    return frequencies
 
 
 def read_rabi_csv(path):
     """Rabi calibration table: CSV with columns position_um, rabi_kHz."""
-    positions, rabis = _read_columns(path, "position_um", "rabi_kHz")
-    return [microns(z) for z in positions], [khz(r) for r in rabis]
+    return tuple(_read_columns(path, position_um=microns, rabi_kHz=khz))

@@ -1,16 +1,15 @@
 """Time evolution of sector states and observable sampling.
 
-Default path is short-iterate Lanczos approximation of exp(-iHt)v with
-adaptive sub-stepping; a dense eigendecomposition oracle is available
-for small sectors.  A Lanczos step keeps its basis semi-orthogonal: it
-reorthogonalizes only where Simon's omega-recurrence estimates a loss of
-orthogonality above min(step budget, sqrt(eps)).  The complex matvec is
-two contiguous real sparse products.  Only observables are kept.  A
-constant shift of H changes neither the Krylov space nor the error
-estimate, only a phase no observable sees: the Krylov path exponentiates
-the matrix it is given, and the Hamiltonians of a detuning scan, evolved
-as one block-diagonal system, are each centred on their own mean
-diagonal.
+There is one evolution path: a short-iterate Lanczos approximation of
+exp(-iHt)v with adaptive sub-stepping.  A Lanczos step keeps its basis
+semi-orthogonal: it reorthogonalizes only where Simon's omega-recurrence
+estimates a loss of orthogonality above min(step budget, sqrt(eps)).
+The complex matvec is two contiguous real sparse products.  Only
+observables are kept.  A constant shift of H changes neither the Krylov
+space nor the error estimate, only a phase no observable sees:
+propagate_krylov exponentiates the matrix it is given, and the
+Hamiltonians of a detuning scan, evolved as one block-diagonal system,
+are each centred on their own mean diagonal.
 """
 
 import math
@@ -22,7 +21,6 @@ import scipy.sparse as sp
 from .fock_basis import MirrorEvenBasis
 from .hamiltonian import SparseHamiltonian
 
-DENSE_ORACLE_CAP = 2000
 # Largest Krylov subspace of one Lanczos step; a step that does not meet
 # its error budget within it is halved.
 MAX_KRYLOV_DIM = 40
@@ -37,7 +35,7 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class EvolutionRequest:
-    """What to evolve and how.
+    """What to evolve and to what tolerance.
 
     excited_ions are the 1-based indices of the spins prepared up, with
     zero phonons.
@@ -46,7 +44,6 @@ class EvolutionRequest:
     total_time: float
     samples: int
     excited_ions: list
-    method: str = "krylov"
     krylov_tol: float = 1e-9
 
     def __post_init__(self):
@@ -56,8 +53,6 @@ class EvolutionRequest:
             raise ValueError("need at least 2 samples")
         if not 0.0 < self.krylov_tol <= 1e-3:
             raise ValueError("krylov_tol must lie in (0, 1e-3]")
-        if self.method not in ("krylov", "dense-oracle"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -256,15 +251,16 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
 def evolve(h, req, basis):
     """Sample per-ion <sigma_z> on a uniform grid under the Hamiltonian.
 
-    h is one SparseHamiltonian, or a list of them on the same basis (the
-    detunings of a scan), evolved together from the same initial state.
-    exp(-iHt) of a block-diagonal H is the block-diagonal of the blocks'
-    exponentials, so the Krylov path evolves the stacked state of all
-    blocks in one propagate_krylov pass.  Where the blocks are stacked,
-    each is centred on its own mean diagonal m_b, so the detunings'
-    different means do not widen the stacked spectrum; that multiplies
-    block b only by exp(i m_b t), a phase no sampled observable sees.  A
-    single Hamiltonian is evolved as it is.  basis is a SectorBasis or a
+    Each sample interval is one propagate_krylov call.  h is one
+    SparseHamiltonian, or a list of them on the same basis (the detunings
+    of a scan), evolved together from the same initial state.  exp(-iHt)
+    of a block-diagonal H is the block-diagonal of the blocks'
+    exponentials, so the stacked state of all blocks is evolved in one
+    propagate_krylov pass.  Where the blocks are stacked, each is centred
+    on its own mean diagonal m_b, so the detunings' different means do
+    not widen the stacked spectrum; that multiplies block b only by
+    exp(i m_b t), a phase no sampled observable sees.  A single
+    Hamiltonian is evolved as it is.  basis is a SectorBasis or a
     MirrorEvenBasis; on the latter, h must be built on it and the initial
     state must be even.  Returns one TimeSeries, or a list in the order of h.
     """
@@ -273,14 +269,7 @@ def evolve(h, req, basis):
     v0 = prepare_initial_state(basis, req.excited_ions)
     times = np.linspace(0.0, req.total_time, req.samples)
 
-    if req.method == "dense-oracle":
-        if dim > DENSE_ORACLE_CAP:
-            raise ValueError(
-                f"dense oracle limited to D <= {DENSE_ORACLE_CAP}, got D = {dim}"
-            )
-        eigs = [np.linalg.eigh(x.matrix.toarray()) for x in hs]
-        coeffs = [evecs.conj().T @ v0 for _, evecs in eigs]
-    elif blocks == 1:
+    if blocks == 1:
         stacked, tol = hs[0], req.krylov_tol
     else:
         centred = [x.matrix - np.mean(x.matrix.diagonal()) * sp.identity(dim)
@@ -303,12 +292,7 @@ def evolve(h, req, basis):
     exc_drift = np.empty((blocks, req.samples))
     v = np.tile(v0, blocks)
     for k, t in enumerate(times):
-        if req.method == "dense-oracle":
-            v = np.concatenate([
-                evecs @ (np.exp(-1j * evals * t) * c)
-                for (evals, evecs), c in zip(eigs, coeffs)
-            ])
-        elif k > 0:
+        if k > 0:
             v = propagate_krylov(stacked, v, t - times[k - 1], tol,
                                  MAX_KRYLOV_DIM, time_scale=req.total_time)
         for b, vb in enumerate(v.reshape(blocks, dim)):

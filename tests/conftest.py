@@ -94,21 +94,33 @@ def record_lanczos_steps(monkeypatch):
 def sampled_states(h, req, basis):
     """The states evolve samples for one Hamiltonian, one row per time.
 
-    req.method picks the path.  "krylov" steps propagate_krylov from
-    prepare_initial_state between the sample times with
-    time_scale=total_time, as evolve does for a single Hamiltonian;
-    "dense-oracle" uses the dense eigendecomposition of H.
+    Steps propagate_krylov from prepare_initial_state between the sample
+    times with time_scale=total_time, as evolve does for a single
+    Hamiltonian.
     """
-    v = propagator.prepare_initial_state(basis, req.excited_ions)
-    times = np.linspace(0.0, req.total_time, req.samples)
-    if req.method == "dense-oracle":
-        evals, evecs = np.linalg.eigh(h.matrix.toarray())
-        c = evecs.conj().T @ v
-        return np.array([evecs @ (np.exp(-1j * evals * t) * c) for t in times])
-    states = [v]
-    for dt in np.diff(times):
+    states = [propagator.prepare_initial_state(basis, req.excited_ions)]
+    for dt in np.diff(np.linspace(0.0, req.total_time, req.samples)):
         states.append(propagator.propagate_krylov(
             h, states[-1], dt, req.krylov_tol, propagator.MAX_KRYLOV_DIM,
             time_scale=req.total_time,
         ))
     return np.array(states)
+
+
+def dense_states(h, req, basis):
+    """The exact states at req's sample times, one row per time.
+
+    The reference every evolution test is held to: the dense
+    eigendecomposition of h.matrix by np.linalg.eigh, which shares no
+    code with the Krylov propagator.  Costs O(D^3), so keep D small.
+    """
+    v = propagator.prepare_initial_state(basis, req.excited_ions)
+    times = np.linspace(0.0, req.total_time, req.samples)
+    evals, evecs = np.linalg.eigh(h.matrix.toarray())
+    c = evecs.conj().T @ v
+    return np.array([evecs @ (np.exp(-1j * evals * t) * c) for t in times])
+
+
+def dense_sigma_z(h, req, basis):
+    """Per-ion <sigma_z> of dense_states, shaped as TimeSeries.sigma_z."""
+    return np.abs(dense_states(h, req, basis)) ** 2 @ basis.spin_signs()

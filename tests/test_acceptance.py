@@ -11,9 +11,14 @@ import numpy as np
 import jchsim
 from jchsim.constants import khz, mhz, to_khz, to_microns
 from jchsim.experiment import parse_config, resolve_model, run, with_detuning
-from jchsim.propagator import DENSE_ORACLE_CAP
 
-from conftest import CHAIN_TABLES, CONFIG_DIR, record_lanczos_steps, sampled_states
+from conftest import (
+    CHAIN_TABLES,
+    CONFIG_DIR,
+    dense_states,
+    record_lanczos_steps,
+    sampled_states,
+)
 
 
 def report(number, name, passed):
@@ -138,31 +143,27 @@ def test_06_oracle_equivalence_shipped_configs():
         if cfg.delta_scan_khz:
             continue
         dim = jchsim.sector_dimension(cfg.n_ions, cfg.excitations)
-        if dim > DENSE_ORACLE_CAP:
+        if dim > 2000:  # the dense eigh reference costs O(D^3)
             continue
         model = resolve_model(cfg)
         basis = jchsim.enumerate_sector(cfg.n_ions, cfg.excitations)
         h = jchsim.build_hamiltonian(with_detuning(model, cfg.delta_khz), basis)
-        kw = dict(
+        req = jchsim.EvolutionRequest(
             total_time=cfg.total_time_us * 1e-6,
             samples=cfg.samples,
             excited_ions=cfg.excited_ions,
         )
-        krylov_req = jchsim.EvolutionRequest(method="krylov", **kw)
-        krylov = sampled_states(h, krylov_req, basis)
-        dense = sampled_states(
-            h, jchsim.EvolutionRequest(method="dense-oracle", **kw), basis
-        )
-        diff = np.max(np.abs(krylov - dense))
+        dense = dense_states(h, req, basis)
+        diff = np.max(np.abs(sampled_states(h, req, basis) - dense))
         # evolve's own sigma_z against that of the dense eigh states; the
         # largest difference seen is 2.0e-11 (fig3fg)
-        sz = jchsim.evolve(h, krylov_req, basis).sigma_z
+        sz = jchsim.evolve(h, req, basis).sigma_z
         sz_diff = np.max(np.abs(sz - np.abs(dense) ** 2 @ basis.spin_signs()))
         ok &= diff < 1e-8 and sz_diff < 1e-8
         checked.append((name, dim, diff, sz_diff))
     elapsed = time.monotonic() - start
     ok &= len(checked) >= 10  # fig2a, fig2cde, fig2fgh, fig3b-g, fig4a-e
-    report(6, "krylov vs dense oracle on shipped configs",
+    report(6, "krylov vs dense eigh on shipped configs",
            ok and elapsed < 60.0)
 
 

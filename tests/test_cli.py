@@ -24,7 +24,7 @@ from jchsim.fock_basis import enumerate_sector, sector_dimension
 from jchsim.hamiltonian import build_hamiltonian
 from jchsim.propagator import EvolutionRequest, evolve
 
-from conftest import REPO_ROOT, record_lanczos_steps
+from conftest import REPO_ROOT, dense_sigma_z, record_lanczos_steps
 
 
 def write(path, text):
@@ -255,6 +255,14 @@ BAD_CONFIG_VALUES = [
     "excitations = 0\nexcited_ions = ,",
     "excited_ions = 1,,2",
     "spacings_um = 5.280,",
+    # finite in the file's units, but 0 or inf once converted to SI
+    "spacings_um = 1e-318",
+    "total_time_us = 1e-318",
+    "waist_um = 1e-318",
+    "beam_center_um = 1e-318",
+    "delta_kHz = 1e308",
+    "stark_kHz = 1e305",
+    "g_kHz = 1e305",
 ]
 
 
@@ -309,7 +317,8 @@ def test_removed_key_exits_2_as_unknown(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cell", ["abc", "nan", ""], ids=["text", "nan", "empty"])
+@pytest.mark.parametrize("cell", ["abc", "nan", "", "1e305"],
+                         ids=["text", "nan", "empty", "inf-in-SI"])
 @pytest.mark.parametrize("option,rows", [
     ("--spectrum", ["index,frequency_MHz", "1,2.70", "2,2.72", "3,{}"]),
     ("--rabi", ["position_um,rabi_kHz", "-5,40", "0,50", "5,{}"]),
@@ -572,19 +581,18 @@ def scan_cfg_with(tmp_path, config_dir, override):
     return write(tmp_path / "scan.cfg", "\n".join(cfg_with(text, override)) + "\n")
 
 
-def per_detuning_series(cfg_path, method):
+def per_detuning(cfg_path, solve):
     """Each detuning of the config evolved alone on the full sector:
-    {delta_kHz: TimeSeries}."""
+    {delta_kHz: solve(h, req, basis)}, solve being evolve or dense_sigma_z."""
     cfg = parse_config(cfg_path)
     model = resolve_model(cfg)
     basis = enumerate_sector(cfg.n_ions, cfg.excitations)
     req = EvolutionRequest(
         total_time=microseconds(cfg.total_time_us), samples=cfg.samples,
-        excited_ions=cfg.excited_ions, method=method,
-        krylov_tol=cfg.krylov_tol,
+        excited_ions=cfg.excited_ions, krylov_tol=cfg.krylov_tol,
     )
     return {
-        d: evolve(build_hamiltonian(with_detuning(model, d), basis), req, basis)
+        d: solve(build_hamiltonian(with_detuning(model, d), basis), req, basis)
         for d in cfg.delta_scan_khz or [cfg.delta_khz]
     }
 
@@ -613,13 +621,13 @@ class TestJointScan:
         assert {size for size, _, _ in joint} == {len(deltas) * 100}
         if override:
             assert not all(accepted for _, _, accepted in joint)
-        dense = per_detuning_series(cfg, "dense-oracle")
-        serial = per_detuning_series(cfg, "krylov")
+        dense = per_detuning(cfg, dense_sigma_z)
+        serial = per_detuning(cfg, evolve)
         for d in deltas:
             rows = np.loadtxt(out / _scan_subdir(d) / "timeseries.csv",
                               delimiter=",", skiprows=1)
             sz = rows[:, 1:-2]
-            assert np.max(np.abs(sz - dense[d].sigma_z)) <= 1e-10
+            assert np.max(np.abs(sz - dense[d])) <= 1e-10
             assert np.max(np.abs(sz - serial[d].sigma_z)) <= 1e-10
             assert rows[:, -2].max() <= 1e-11  # norm drift
             assert rows[:, -1].max() <= 1e-11  # excitation drift
@@ -683,7 +691,7 @@ class TestMirrorEvenRuns:
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--output-dir", str(out)]) == 0
         monkeypatch.undo()
-        (full,) = per_detuning_series(cfg, "krylov").values()
+        (full,) = per_detuning(cfg, evolve).values()
         return out, {size for size, _, _ in log}, full
 
     def test_symmetric_run_evolves_even(self, tmp_path, monkeypatch):

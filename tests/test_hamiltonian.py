@@ -309,8 +309,7 @@ class TestObservables:
         basis = enumerate_sector(1, 1)
         g = khz(5.0)
         h = build_hamiltonian(JchParameters([0.0], [0.0], [g], [[0.0]]), basis)
-        req = EvolutionRequest(total_time=np.pi / g, samples=5, excited_ions=[1],
-                               method="dense-oracle")
+        req = EvolutionRequest(total_time=np.pi / g, samples=5, excited_ions=[1])
         return evolve(h, req, basis).sigma_z
 
     def test_all_up_product_state(self):

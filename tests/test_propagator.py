@@ -23,7 +23,7 @@ from jchsim.propagator import (
     propagate_krylov,
 )
 
-from conftest import sampled_states
+from conftest import dense_sigma_z, dense_states, sampled_states
 
 
 def single_site(g, delta, omega):
@@ -138,28 +138,9 @@ class TestEvolve:
 
     def test_krylov_matches_dense_oracle_fig2a(self):
         basis, h = fig2a_model()
-        kw = dict(total_time=5e-4, samples=101, excited_ions=[1, 2])
-        krylov = sampled_states(h, EvolutionRequest(method="krylov", **kw), basis)
-        dense = sampled_states(
-            h, EvolutionRequest(method="dense-oracle", **kw), basis
-        )
-        assert np.max(np.abs(krylov - dense)) < 1e-8
-
-    def test_dense_oracle_cap(self):
-        basis = enumerate_sector(8, 8)
-        params = JchParameters(
-            detunings=np.zeros(8),
-            local_frequencies=np.zeros(8),
-            couplings=np.full(8, khz(1)),
-            hoppings=np.zeros((8, 8)),
-        )
-        h = build_hamiltonian(params, basis)
-        req = EvolutionRequest(
-            total_time=1e-4, samples=2, excited_ions=list(range(1, 9)),
-            method="dense-oracle",
-        )
-        with pytest.raises(ValueError):
-            evolve(h, req, basis)
+        req = EvolutionRequest(total_time=5e-4, samples=101, excited_ions=[1, 2])
+        krylov = sampled_states(h, req, basis)
+        assert np.max(np.abs(krylov - dense_states(h, req, basis))) < 1e-8
 
     def test_conservation_suite(self):
         # four ions, every spin initially excited, band-edge detuning
@@ -232,14 +213,14 @@ class TestEvolveList:
     def test_blocks_match_single_evolutions(self):
         basis, h = fig2a_model()
         hs = [self.detuned(basis, h, d) for d in (-90.0, -60.0, 20.0)]
-        kw = dict(total_time=5e-4, samples=26, excited_ions=[1, 2])
-        for method, tol in (("dense-oracle", 0.0), ("krylov", 1e-10)):
-            req = EvolutionRequest(method=method, **kw)
-            joint = evolve(hs, req, basis)
-            assert len(joint) == len(hs)
-            for x, series in zip(hs, joint):
-                alone = evolve(x, req, basis)
-                assert np.max(np.abs(series.sigma_z - alone.sigma_z)) <= tol
+        req = EvolutionRequest(total_time=5e-4, samples=26, excited_ions=[1, 2])
+        joint = evolve(hs, req, basis)
+        assert len(joint) == len(hs)
+        for x, series in zip(hs, joint):
+            alone = evolve(x, req, basis)
+            assert np.max(np.abs(series.sigma_z - alone.sigma_z)) <= 1e-10
+            assert np.max(np.abs(series.sigma_z
+                                 - dense_sigma_z(x, req, basis))) <= 1e-10
 
 
 def plain_matvec(h):
@@ -466,20 +447,15 @@ class TestMirrorEvenSector:
         m = len(excited)
         full = enumerate_sector(5, m)
         even = enumerate_sector(5, m, mirror_even=True)
-        kw = dict(total_time=300e-6, samples=31, excited_ions=excited)
-        dense_states = sampled_states(
-            build_hamiltonian(params, full),
-            EvolutionRequest(method="dense-oracle", **kw), full,
-        )
-        dense_sz = np.abs(dense_states) ** 2 @ full.spin_signs()
+        req = EvolutionRequest(total_time=300e-6, samples=31, excited_ions=excited)
+        exact = dense_states(build_hamiltonian(params, full), req, full)
+        exact_sz = np.abs(exact) ** 2 @ full.spin_signs()
         h = build_hamiltonian(params, even)
-        for method in ("krylov", "dense-oracle"):
-            req = EvolutionRequest(method=method, **kw)
-            got = evolve(h, req, even)
-            assert np.max(np.abs(got.sigma_z - dense_sz)) <= self.TOL
-            assert (np.max(np.abs(lift(even, sampled_states(h, req, even))
-                                  - dense_states))
-                    <= self.TOL)
+        assert np.max(np.abs(evolve(h, req, even).sigma_z - exact_sz)) <= self.TOL
+        assert np.max(np.abs(dense_sigma_z(h, req, even) - exact_sz)) <= self.TOL
+        # the even sector's Krylov and dense states, lifted to the full sector
+        for states in (sampled_states(h, req, even), dense_states(h, req, even)):
+            assert np.max(np.abs(lift(even, states) - exact)) <= self.TOL
 
     def test_odd_initial_state_rejected(self):
         even = enumerate_sector(4, 2, mirror_even=True)
