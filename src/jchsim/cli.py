@@ -5,10 +5,11 @@ Subcommands:
   dimension <N> <M>                     print the exact sector dimension
   calibrate --spectrum CSV | --rabi CSV fit trap/beam parameters
 
-Exit codes: 0 success, 2 bad input (config, CSV, or a path that cannot
-be read or written), 3 infeasible physics or not enough memory for the
-run, 4 numerical failure, 141 the reader of stdout went away (128 +
-SIGPIPE, as a shell reports a writer the pipe killed).
+Exit codes: 0 success, 2 bad input (config, CSV, a path that cannot be
+read or written, or a run that rounding alone would put outside
+krylov_tol), 3 infeasible physics or not enough memory for the run, 4
+numerical failure, 141 the reader of stdout went away (128 + SIGPIPE, as
+a shell reports a writer the pipe killed).
 """
 
 import argparse

@@ -31,6 +31,7 @@ import csv
 import math
 import os
 import re
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal
 
@@ -53,12 +54,11 @@ from .fock_basis import (
     enumerate_sector,
     sector_dimension,
 )
-from .hamiltonian import JchParameters, build_hamiltonian, mirror_asymmetry
+from .hamiltonian import JchParameters, build_hamiltonian, mirror_asymmetry, norm_bound
 from .ion_chain import (
     ChainGeometry,
     ModeData,
     TrapParameters,
-    ZigzagError,
     anchor_transverse_frequency,
     interaction_picture_shift,
     mode_parameters,
@@ -361,7 +361,7 @@ def resolve_model(cfg):
 
     try:
         modes = mode_parameters(wx, geometry)
-    except ZigzagError as exc:
+    except ValueError as exc:  # ZigzagError, or a frequency whose square overflows
         raise InfeasibleError(str(exc)) from exc
 
     profile = calibration.LaserProfile(
@@ -410,7 +410,8 @@ def run(config_path, output_dir=None):
     evolved in scan-order groups of at most JOINT_DIMENSION joint rows;
     a group's sub-runs are written once the whole group has evolved.
     The evolution runs in the mirror-even sector when _evolves_even
-    allows it, and on the full sector otherwise.
+    allows it, and on the full sector otherwise.  A run that rounding
+    alone could put outside krylov_tol is refused before enumeration.
     """
     cfg = parse_config(config_path)
     base = os.path.splitext(os.path.basename(config_path))[0]
@@ -426,6 +427,16 @@ def run(config_path, output_dir=None):
     scan = cfg.delta_scan_khz
     deltas = scan or [cfg.delta_khz]
     params = [with_detuning(model, d) for d in deltas]
+    # Rounding H's entries moves H by up to eps ||H||, so by Duhamel's
+    # formula (see _evolves_even) it can move the state by eps T ||H||.
+    bound = max(norm_bound(p, cfg.excitations) for p in params)
+    rounding = sys.float_info.epsilon * req.total_time * bound
+    if rounding > cfg.krylov_tol:
+        raise ConfigError(
+            f"total_time_us = {cfg.total_time_us:g} with ||H|| up to {bound:.3g} "
+            f"rad/s lets rounding alone err by up to {rounding:.3g}, above "
+            f"krylov_tol = {cfg.krylov_tol:g}"
+        )
     try:
         basis = enumerate_sector(cfg.n_ions, cfg.excitations, cfg.dimension_cap,
                                  mirror_even=_evolves_even(req, params))

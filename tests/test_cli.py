@@ -342,6 +342,36 @@ def test_beam_too_narrow_for_chain_exits_2(tmp_path, capsys, beam):
     assert "waist_um" in capsys.readouterr().err
 
 
+# Finite in SI units, but T ||H|| so large that rounding H's entries alone
+# could move the state by more than krylov_tol.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("big", [
+    "total_time_us = 1e300", "g_kHz = 1e300", "delta_kHz = 1e300",
+])
+def test_run_beyond_rounding_exits_2(tmp_path, capsys, big):
+    cfg = write(tmp_path / "big.cfg", "\n".join(small_cfg_with(big)) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: total_time_us = ") and "krylov_tol" in err
+    assert not out.exists()
+
+
+# A transverse frequency finite in SI units whose square overflows.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("frequency", [
+    "top_mode_MHz = 1e300",
+    "geometry = trap\ntransverse_MHz = 1e300\naxial_kHz = 200",
+], ids=["anchor", "trap"])
+def test_overflowing_transverse_frequency_exits_3(tmp_path, capsys, frequency):
+    cfg = write(tmp_path / "big.cfg", "\n".join(small_cfg_with(frequency)) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and "square overflows" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "{dir}"],
     ["simulate", "{binary}"],
@@ -402,6 +432,43 @@ def test_broken_pipe_exits_141(tmp_path, monkeypatch):
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
 
 
+def src_env():
+    """The environment, with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+@pytest.mark.parametrize("read", [1, 0], ids=["head-c-1", "reader-gone"])
+def test_closed_pipe_exits_without_traceback(read):
+    """jchsim dimension 8 8 | head -c <read>, on a real pipe.
+
+    head -c 1 may close the pipe before or after the write, so 0 and 141
+    both pass; a reader gone before the write leaves only 141.  Either
+    way the interpreter's flush at exit prints no traceback.
+    """
+    # stdout on a pipe is block-buffered, as from a shell, so the write
+    # happens at a flush
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    with subprocess.Popen(
+        [sys.executable, "-m", "jchsim.cli", "dimension", "8", "8"],
+        stdout=w, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        os.close(w)
+        if read:
+            os.read(r, read)
+            os.close(r)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode in ({0, 141} if read else {141})
+    assert "Traceback" not in err.decode()
+
+
 LOADED_MODULES = """\
 import sys
 from jchsim.cli import main
@@ -423,13 +490,9 @@ def test_scipy_modules_each_subcommand_loads(tmp_path, argv, fits):
         "out": str(tmp_path / "out"),
         "spectrum": os.path.join(REPO_ROOT, "bench", "inputs", "spectrum_4.csv"),
     }
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
-    )
     done = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, *(a.format(**paths) for a in argv)],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=src_env(), check=True,
     )
     loaded = done.stdout.splitlines()[-1].split()
     assert loaded == (["scipy.optimize", "scipy.linalg"] if fits else [])

@@ -9,6 +9,7 @@ from jchsim.hamiltonian import (
     JchParameters,
     build_hamiltonian,
     mirror_asymmetry,
+    norm_bound,
 )
 from jchsim.propagator import EvolutionRequest, evolve
 
@@ -338,6 +339,20 @@ class TestObservables:
         req = EvolutionRequest(total_time=1e-4, samples=2, excited_ions=[1, 2, 3])
         drift = evolve(h, req, basis).excitation_drift[0]
         assert drift == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 2), (4, 4), (5, 3)])
+def test_norm_bound_bounds_norm_of_h(n, m):
+    params = random_params(n, 13 * n + m)
+    norm = np.linalg.norm(per_state_matrix(params, enumerate_sector(n, m)), 2)
+    bound = norm_bound(params, m)
+    assert norm <= bound * (1 + 1e-12)
+    assert bound <= 20 * norm  # a bound, but not a vacuous one
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm_bound_overflows_to_inf():
+    assert norm_bound(uniform_params(3, 1e308, 0.0, 1.0, 1.0), 3) == np.inf
 
 
 class TestMirrorEven:
