@@ -5,6 +5,8 @@ chain geometry) from a measured collective mode spectrum, fitting the
 Gaussian drive profile from per-ion Rabi frequencies, and turning a
 profile plus geometry into per-ion couplings g_i and Stark offsets,
 which give the detunings Delta_i once a central detuning is added.
+Both fits are solved by one numpy Levenberg-Marquardt routine,
+_least_squares, so calibrating loads no SciPy module.
 """
 
 import math
@@ -24,6 +26,9 @@ from .ion_chain import (
 
 RMS_THRESHOLD = TWO_PI * 1.0e3  # rad/s; quoted spectra carry ~kHz rounding
 FLAT_RTOL = 1e-9  # Rabi spread, relative to the largest, below which a beam is flat
+_TOL = 1e-8  # _least_squares' ftol = xtol = gtol, scipy's defaults
+_MAX_NFEV = 1000  # evaluations per fit, the Jacobian's included
+_FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 class FitError(RuntimeError):
@@ -102,16 +107,141 @@ def initial_trap_guess(measured_modes):
     return TrapParameters(transverse_frequency=wx, axial_quadratic=wz)
 
 
+def _least_squares(fun, x0):
+    """Minimize ||fun(x)||^2 from x0 by Levenberg-Marquardt; return x.
+
+    Moré's trust-region form of the method ("The Levenberg-Marquardt
+    algorithm: implementation and theory", LNM 630, 1978), with
+    MINPACK lmdif's radius updates and tests: each step is scaled by the
+    running maximum of the Jacobian's column norms, the first is the
+    Gauss-Newton step and its length the first trust radius, and the
+    Jacobian is a forward difference with step sqrt(eps) max(1, |x_j|),
+    so x should be of order one.  It stops when a step reduces the sum
+    of squares by at most _TOL (relative), when the trust radius falls
+    below _TOL of the scaled x, or when fun(x) is within _TOL of
+    orthogonal to every Jacobian column.  Raises FitError once fun has
+    been evaluated _MAX_NFEV times, the Jacobian's evaluations included,
+    without stopping.
+    """
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    fnorm = np.linalg.norm(f)
+    nfev = 1
+    diag = delta = None
+    while fnorm != 0:
+        jac = np.empty((f.size, x.size))
+        for j in range(x.size):
+            h = np.zeros_like(x)
+            h[j] = _FD_STEP * max(1.0, abs(x[j]))
+            jac[:, j] = (fun(x + h) - f) / h[j]
+        nfev += x.size
+        norms = np.linalg.norm(jac, axis=0)
+        live = norms > 0
+        if np.max(np.abs(jac.T @ f)[live] / (norms[live] * fnorm), initial=0.0) <= _TOL:
+            return x
+        if diag is None:
+            diag = np.where(live, norms, 1.0)
+        else:
+            diag = np.maximum(diag, norms)
+        u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
+        c = u.T @ f
+        while True:
+            y, par = _trust_region_step(s, vt, c, delta)
+            ynorm = np.linalg.norm(y)
+            step = y / diag
+            if delta is None:
+                delta = ynorm
+            x_new = x + step
+            f_new = fun(x_new)
+            fnorm_new = np.linalg.norm(f_new)
+            nfev += 1
+            # reductions of the sum of squares, relative to its value at x
+            actual = 1.0 - (fnorm_new / fnorm) ** 2 if fnorm_new < 10.0 * fnorm else -1.0
+            model = (np.linalg.norm(jac @ step) / fnorm) ** 2
+            damping = par * (ynorm / fnorm) ** 2
+            predicted = model + 2.0 * damping
+            ratio = actual / predicted if predicted else 0.0
+            if ratio <= 0.25:
+                slope = -(model + damping)
+                shrink = 0.5 if actual >= 0 else 0.5 * slope / (slope + 0.5 * actual)
+                if fnorm_new >= 10.0 * fnorm or shrink < 0.1:
+                    shrink = 0.1
+                delta = shrink * min(delta, 10.0 * ynorm)
+            elif par == 0 or ratio >= 0.75:
+                delta = 2.0 * ynorm
+            accepted = ratio >= 1e-4
+            if accepted:
+                x, f, fnorm = x_new, f_new, fnorm_new
+            if (abs(actual) <= _TOL and predicted <= _TOL and ratio <= 2.0) or (
+                delta <= _TOL * np.linalg.norm(diag * x)
+            ):
+                return x
+            if nfev >= _MAX_NFEV:
+                raise FitError(f"no convergence in {_MAX_NFEV} evaluations")
+            if accepted:
+                break
+    return x
+
+
+def _trust_region_step(s, vt, c, delta):
+    """Scaled step y = D p of Moré's method, and its parameter λ.
+
+    s, vt and c = U^T f come from the SVD U diag(s) vt of the scaled
+    Jacobian J D^-1, and y(λ) = -vt^T (s c / (s^2 + λ)).  The
+    Gauss-Newton step (λ = 0, least norm if J is rank deficient) is
+    taken when delta is None (the first step, whose length sets the
+    trust radius) or when it lies within 1.1 delta.  Otherwise λ is
+    found by Moré's safeguarded Newton iteration on 1/||y(λ)|| until
+    ||y|| is within 10% of delta.
+    """
+    keep = s > s[0] * s.size * np.finfo(float).eps
+    sc = s * c
+
+    def scaled_step(par):
+        denom = np.where(keep, s**2 + par, np.inf)
+        w = sc / denom
+        norm = np.linalg.norm(w)
+        return w, norm, -np.sum(w**2 / denom) / norm  # and d||y||/dλ
+
+    par = 0.0
+    w, norm, slope = scaled_step(par)
+    if delta is None or norm <= 1.1 * delta:
+        return -vt.T @ w, par
+    # Moré's bounds: Newton from 0 (full rank) is below the root, and
+    # ||(J D^-1)^T f|| / delta above it
+    low = (norm - delta) / delta * norm / -slope if keep.all() else 0.0
+    high = np.linalg.norm(sc) / delta
+    par = max(low, 1e-3 * high)
+    w, norm, slope = scaled_step(par)
+    for _ in range(10):
+        if abs(norm - delta) <= 0.1 * delta:
+            break
+        if norm > delta:
+            low = max(low, par)
+        else:
+            high = min(high, par)
+        par += (norm - delta) / delta * norm / -slope
+        if not low < par < high:
+            par = max(1e-3 * high, math.sqrt(low * high))
+        w, norm, slope = scaled_step(par)
+    return -vt.T @ w, par
+
+
 def fit_chain_from_spectrum(measured_modes):
     """Fit (wx, wz, quartic) so the predicted collective spectrum matches.
 
-    One trust-region least-squares solve on the mode residuals, scaled
-    by the guessed wx, started at initial_trap_guess with a
-    finite-difference Jacobian (the forward model contains an inner
-    equilibrium solve).  A point with no stable chain returns a constant
-    penalty residual.  Raises DegenerateDataError for a mode <= 0 or a
-    zero band width, and FitError if the solution has no stable chain
-    or its RMS residual exceeds RMS_THRESHOLD.
+    One Levenberg-Marquardt solve (_least_squares) on the mode residuals,
+    in units of the guessed wx, started at initial_trap_guess; the
+    Jacobian is a forward difference, since the forward model contains
+    an inner equilibrium solve.  A point with no stable chain returns a
+    constant penalty residual.  A chain of two or three ions has one
+    spacing, which cannot split the axial confinement between the
+    quadratic and quartic terms, so there only (wx, wz) are fitted and
+    the quartic is 0.  The chain of the solution is the forward solve
+    the fit already made there.  Raises DegenerateDataError for a mode
+    <= 0 or a zero band width, and FitError if the fit does not
+    converge, the solution has no stable chain or its RMS residual
+    exceeds RMS_THRESHOLD.
     """
     meas = np.sort(np.asarray(measured_modes, dtype=float))
     n = meas.size
@@ -122,29 +252,29 @@ def fit_chain_from_spectrum(measured_modes):
             "need positive mode frequencies with a nonzero band width"
         )
 
-    # Imported here, so that only the fits load scipy.optimize.
-    from scipy.optimize import least_squares
-
     guess = initial_trap_guess(meas)
     wx0 = guess.transverse_frequency
     wz0 = guess.axial_quadratic
+    solves = {}  # x.tobytes() -> (trap, geometry, spectrum) or the refusal
 
     def residuals(x):
+        quartic = x[2] if x.size == 3 else 0.0
         try:
-            _, _, pred = _predicted_spectrum(x[0] * wx0, abs(x[1]) * wz0, x[2], n)
-        except (ZigzagError, EquilibriumError, ValueError):
+            solve = _predicted_spectrum(x[0] * wx0, abs(x[1]) * wz0, quartic, n)
+        except (ZigzagError, EquilibriumError, ValueError) as exc:
+            solves[x.tobytes()] = exc
             return np.full(n, 1e3)  # finite penalty keeps the solver moving
-        return (pred - meas) / wx0
+        solves[x.tobytes()] = solve
+        return (solve[2] - meas) / wx0
 
-    # x_scale="jac": the quartic's sensitivity differs from the frequency
-    # ratios' by orders of magnitude
-    best = least_squares(residuals, [1.0, 1.0, guess.axial_quartic], x_scale="jac").x
-    wx = best[0] * wx0
-    wz = abs(best[1]) * wz0
     try:
-        trap, geometry, pred = _predicted_spectrum(wx, wz, best[2], n)
-    except (ZigzagError, EquilibriumError, ValueError) as exc:
-        raise FitError(f"no stable chain reproduces the spectrum: {exc}") from exc
+        best = _least_squares(residuals, [1.0, 1.0, 0.0][: 2 if n <= 3 else 3])
+    except FitError as exc:
+        raise FitError(f"spectrum fit failed: {exc}") from exc
+    solve = solves[best.tobytes()]
+    if isinstance(solve, Exception):
+        raise FitError(f"no stable chain reproduces the spectrum: {solve}") from solve
+    trap, geometry, pred = solve
     rms = math.sqrt(float(np.mean((pred - meas) ** 2)))
     if rms > RMS_THRESHOLD:
         raise FitError(
@@ -158,9 +288,13 @@ def fit_chain_from_spectrum(measured_modes):
 def fit_beam_profile(positions, rabi_measured):
     """Least-squares Gaussian Omega0 exp(-2 (z-c)^2 / sigma^2).
 
-    Returns a LaserProfile with stark_amplitude left at zero.  If the
-    measured values show no curvature the distinguished flat profile
-    (waist = inf) is returned.
+    One Levenberg-Marquardt solve (_least_squares), with the peak in
+    units of the largest Rabi frequency and the lengths in units of the
+    guessed waist.  Returns a LaserProfile with stark_amplitude left at
+    zero.  If the measured values show no curvature the distinguished
+    flat profile (waist = inf) is returned.  Raises DegenerateDataError
+    for fewer than 3 distinct positions, and FitError if the fit does
+    not converge.
     """
     z = np.asarray(positions, dtype=float)
     rabi = np.asarray(rabi_measured, dtype=float)
@@ -175,27 +309,25 @@ def fit_beam_profile(positions, rabi_measured):
             peak_rabi=float(rabi.mean()), waist=math.inf, beam_center=0.0
         )
 
-    from scipy.optimize import least_squares
-
-    def residuals(p):
-        peak, center, sigma = p
-        return peak * np.exp(-2.0 * (z - center) ** 2 / sigma**2) - rabi
-
     w = np.clip(rabi, 1e-300, None)
     center0 = float((z * w).sum() / w.sum())
     sigma0 = 2.0 * math.sqrt(float((w * (z - center0) ** 2).sum() / w.sum()))
     sigma0 = max(sigma0, 1e-2 * (z.max() - z.min()))
-    # x_scale="jac": MINPACK scales the columns itself, since the peak
-    # (rad/s) and the lengths (m) differ by about nine decades
-    fit = least_squares(
-        residuals, [float(rabi.max()), center0, sigma0], method="lm",
-        x_scale="jac", max_nfev=20000,
-    )
-    if not fit.success:
-        raise FitError(f"beam profile fit failed: {fit.message}")
-    peak, center, sigma = fit.x
+    peak0 = float(rabi.max())
+    zs = z / sigma0
+
+    def residuals(p):
+        peak, center, sigma = p
+        return peak0 * peak * np.exp(-2.0 * (zs - center) ** 2 / sigma**2) - rabi
+
+    try:
+        peak, center, sigma = _least_squares(residuals, [1.0, center0 / sigma0, 1.0])
+    except FitError as exc:
+        raise FitError(f"beam profile fit failed: {exc}") from exc
     return LaserProfile(
-        peak_rabi=float(abs(peak)), waist=float(abs(sigma)), beam_center=float(center)
+        peak_rabi=float(abs(peak * peak0)),
+        waist=float(abs(sigma * sigma0)),
+        beam_center=float(center * sigma0),
     )
 
 

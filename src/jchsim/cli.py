@@ -100,9 +100,15 @@ def _cmd_dimension(args):
 
 
 def _cmd_calibrate(args):
+    path = args.spectrum or args.rabi
+    try:
+        if args.spectrum:
+            fit = fit_chain_from_spectrum(read_spectrum_csv(path))
+        else:
+            profile = fit_beam_profile(*read_rabi_csv(path))
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(f"{path}: {exc}") from exc
     if args.spectrum:
-        measured = read_spectrum_csv(args.spectrum)
-        fit = fit_chain_from_spectrum(measured)
         print(f"n_ions = {fit.geometry.n_ions}")
         print(f"transverse_MHz = {to_mhz(fit.trap.transverse_frequency):.6f}")
         print(f"axial_kHz = {to_khz(fit.trap.axial_quadratic):.6f}")
@@ -112,17 +118,14 @@ def _cmd_calibrate(args):
         )
         print(f"spacings_um = {spacings}")
         print(f"rms_residual_kHz = {to_khz(fit.rms_residual):.4f}")
+    elif profile.is_flat:
+        print("profile = flat")
+        print(f"peak_rabi_kHz = {to_khz(profile.peak_rabi):.6f}")
     else:
-        positions, rabis = read_rabi_csv(args.rabi)
-        profile = fit_beam_profile(positions, rabis)
-        if profile.is_flat:
-            print("profile = flat")
-            print(f"peak_rabi_kHz = {to_khz(profile.peak_rabi):.6f}")
-        else:
-            print("profile = gaussian")
-            print(f"peak_rabi_kHz = {to_khz(profile.peak_rabi):.6f}")
-            print(f"waist_um = {to_microns(profile.waist):.4f}")
-            print(f"center_um = {to_microns(profile.beam_center):.4f}")
+        print("profile = gaussian")
+        print(f"peak_rabi_kHz = {to_khz(profile.peak_rabi):.6f}")
+        print(f"waist_um = {to_microns(profile.waist):.4f}")
+        print(f"center_um = {to_microns(profile.beam_center):.4f}")
     return EXIT_OK
 
 

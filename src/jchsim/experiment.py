@@ -106,14 +106,17 @@ def _int(text):
     return int(Decimal(text))
 
 
-def _number(kind, low=-math.inf, high=math.inf, above=False, unit=None):
+def _number(kind, low=-math.inf, high=math.inf, above=False, unit=None,
+            wants=None):
     """Converter to a finite int or float in [low, high], or (low, high] if above.
 
     The value stays in the file's units.  With a unit (the constants
     helper that converts it to SI, such as khz), the SI value must be
-    finite too, and nonzero if the value is.
+    finite too, and nonzero if the value is.  wants names the accepted
+    values in the error; by default it states the kind and the range.
     """
-    wants = f"a finite {kind.__name__} in {'(' if above else '['}{low:g}, {high:g}]"
+    if wants is None:
+        wants = f"a finite {kind.__name__} in {'(' if above else '['}{low:g}, {high:g}]"
     parse = _int if kind is int else kind
 
     def convert(text):
@@ -351,7 +354,11 @@ def resolve_model(cfg):
         except Exception as exc:
             raise InfeasibleError(f"equilibrium solve failed: {exc}") from exc
     else:  # spectrum
-        fit = calibration.fit_chain_from_spectrum(read_spectrum_csv(cfg.spectrum_file))
+        measured = read_spectrum_csv(cfg.spectrum_file)
+        try:
+            fit = calibration.fit_chain_from_spectrum(measured)
+        except calibration.DegenerateDataError as exc:
+            raise calibration.DegenerateDataError(f"{cfg.spectrum_file}: {exc}") from exc
         geometry = fit.geometry
         wx = fit.trap.transverse_frequency
         if geometry.n_ions != cfg.n_ions:
@@ -596,38 +603,49 @@ def _scan_subdir(delta_khz):
     return f"delta_{delta_khz:g}kHz"
 
 
-def _read_columns(path, **units):
+def _read_columns(path, **columns):
     """The named columns of a CSV file with a header row, in SI units.
 
-    units maps each column name to the constants helper that converts
-    its cells to SI.  A cell is checked as a config value with that unit
-    is.  A missing column or a bad cell raises ConfigError; a bad cell's
-    error names its line in the file.
+    columns maps each column name to (convert, unit): convert checks a
+    cell as a config value is (a _number converter with that unit), and
+    unit is the constants helper that takes the value to SI.  A missing
+    column or a bad cell raises ConfigError; a bad cell's error names its
+    line in the file.
     """
-    converts = {name: _finite(unit) for name, unit in units.items()}
-    columns = {name: [] for name in units}
+    values = {name: [] for name in columns}
     reader = csv.DictReader(_read_lines(path))
-    if reader.fieldnames is None or not set(units) <= set(reader.fieldnames):
-        raise ConfigError(f"{path}: expected columns {','.join(units)}")
+    if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+        raise ConfigError(f"{path}: expected columns {','.join(columns)}")
     for row in reader:
-        for name, column in columns.items():
+        for name, (convert, unit) in columns.items():
             try:
-                column.append(units[name](converts[name](row[name])))
+                values[name].append(unit(convert(row[name])))
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: bad {name} cell: {exc}", reader.line_num
                 ) from exc
-    return list(columns.values())
+    return list(values.values())
 
 
 def read_spectrum_csv(path):
-    """Measured collective modes: CSV with columns index, frequency_MHz."""
-    (frequencies,) = _read_columns(path, frequency_MHz=mhz)
+    """Measured collective modes: CSV with columns index, frequency_MHz.
+
+    A mode frequency must be positive.
+    """
+    frequency = _number(float, 0, above=True, unit=mhz,
+                        wants="a finite positive mode frequency")
+    (frequencies,) = _read_columns(path, frequency_MHz=(frequency, mhz))
     if len(frequencies) < 2:
         raise ConfigError(f"{path}: need at least two modes")
     return frequencies
 
 
 def read_rabi_csv(path):
-    """Rabi calibration table: CSV with columns position_um, rabi_kHz."""
-    return tuple(_read_columns(path, position_um=microns, rabi_kHz=khz))
+    """Rabi calibration table: CSV with columns position_um, rabi_kHz.
+
+    A Rabi frequency is a magnitude, so it must not be negative.
+    """
+    rabi = _number(float, 0, unit=khz, wants="a finite Rabi frequency >= 0")
+    return tuple(_read_columns(
+        path, position_um=(_finite(microns), microns), rabi_kHz=(rabi, khz)
+    ))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock_basis import MirrorEvenBasis
 
@@ -179,6 +178,9 @@ def _csr(dim, rows, cols, vals, diag):
     v = np.concatenate(vals + vals + [diag])
     vals.clear()
     del diag
+    # Imported here, so that only a Hamiltonian build loads scipy.sparse.
+    import scipy.sparse as sp
+
     h = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
     del r, c, v
     h.eliminate_zeros()

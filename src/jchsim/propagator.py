@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock_basis import MirrorEvenBasis
 from .hamiltonian import SparseHamiltonian
@@ -272,6 +271,8 @@ def evolve(h, req, basis):
     if blocks == 1:
         stacked, tol = hs[0], req.krylov_tol
     else:
+        import scipy.sparse as sp  # loaded already by the blocks' build
+
         centred = [x.matrix - np.mean(x.matrix.diagonal()) * sp.identity(dim)
                    for x in hs]
         stacked = SparseHamiltonian(sp.block_diag(centred, format="csr"), None, basis)

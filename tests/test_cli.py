@@ -473,29 +473,37 @@ LOADED_MODULES = """\
 import sys
 from jchsim.cli import main
 code = main(sys.argv[1:])
-print(*(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+print(*sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv, fits", [
-    (["simulate", "{cfg}", "--output-dir", "{out}"], False),
+@pytest.mark.parametrize("argv, sparse", [
+    (["simulate", "{cfg}", "--output-dir", "{out}"], True),
     (["dimension", "8", "8"], False),
-    (["calibrate", "--spectrum", "{spectrum}"], True),
-], ids=["simulate", "dimension", "calibrate"])
-def test_scipy_modules_each_subcommand_loads(tmp_path, argv, fits):
-    """Only the fits load scipy.optimize (which loads scipy.linalg)."""
+    (["calibrate", "--spectrum", "{spectrum}"], False),
+    (["calibrate", "--rabi", "{rabi}"], False),
+], ids=["simulate", "dimension", "calibrate", "calibrate-rabi"])
+def test_scipy_modules_each_subcommand_loads(tmp_path, argv, sparse):
+    """Only a Hamiltonian build loads SciPy, and then only scipy.sparse:
+    each import costs a cold process tenths of a second."""
     paths = {
         "cfg": write(tmp_path / "run.cfg", SMALL_CFG),
         "out": str(tmp_path / "out"),
         "spectrum": os.path.join(REPO_ROOT, "bench", "inputs", "spectrum_4.csv"),
+        "rabi": write(tmp_path / "rabi.csv",
+                      "position_um,rabi_kHz\n-50,30\n-20,45\n0,50\n20,45\n50,30\n"),
     }
     done = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, *(a.format(**paths) for a in argv)],
         capture_output=True, text=True, env=src_env(), check=True,
     )
     loaded = done.stdout.splitlines()[-1].split()
-    assert loaded == (["scipy.optimize", "scipy.linalg"] if fits else [])
+    assert ("scipy.sparse" in loaded) == sparse
+    if not sparse:
+        assert loaded == []
+    for heavy in ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.fft"):
+        assert heavy not in loaded
 
 
 def test_readme_config_table_matches_grammar():
@@ -618,6 +626,38 @@ class TestCalibrate:
         csv = write(tmp_path / "spec.csv", spectrum_csv(modes))
         assert main(["calibrate", "--spectrum", csv]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,rows,line", [
+        ("--spectrum", ["index,frequency_MHz", "1,2.7", "2,-2.7"], 3),
+        ("--spectrum", ["index,frequency_MHz", "1,0", "2,2.7"], 2),
+        # abs() of the fitted peak once turned these into a +2 kHz beam
+        ("--rabi", ["position_um,rabi_kHz", "-5,-1", "0,-2", "5,-1"], 2),
+        ("--rabi", ["position_um,rabi_kHz", "-5,1", "0,-2", "5,1", "10,0.5"], 3),
+    ], ids=["negative-mode", "zero-mode", "negative-rabi", "mixed-sign-rabi"])
+    def test_impossible_cell_exits_2_naming_file_and_line(self, tmp_path, capsys,
+                                                          option, rows, line):
+        csv = write(tmp_path / "cells.csv", "\n".join(rows) + "\n")
+        assert main(["calibrate", option, csv]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: {csv}: bad " in err
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("--spectrum", spectrum_csv("2.7,2.7"), "band width"),
+        ("--rabi", "position_um,rabi_kHz\n1,40\n1,50\n2,45\n", "3 distinct positions"),
+        ("simulate", spectrum_csv("2.7,2.7"), "band width"),
+    ], ids=["flat-spectrum", "two-positions", "flat-spectrum-config"])
+    def test_degenerate_data_names_file(self, tmp_path, capsys, command, text,
+                                        message):
+        csv = write(tmp_path / "data.csv", text)
+        if command == "simulate":
+            lines = small_cfg_with(f"geometry = spectrum\nspectrum_file = {csv}")
+            cfg = write(tmp_path / "run.cfg", "\n".join(lines) + "\n")
+            argv = ["simulate", cfg, "--output-dir", str(tmp_path / "out")]
+        else:
+            argv = ["calibrate", command, csv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {csv}: " in err and message in err
 
     def test_spectrum_residual_over_threshold_exits_4(self, tmp_path, capsys):
         # bench/inputs/spectrum_4.csv with its second mode moved by +30 kHz
