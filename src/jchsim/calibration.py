@@ -5,8 +5,8 @@ chain geometry) from a measured collective mode spectrum, fitting the
 Gaussian drive profile from per-ion Rabi frequencies, and turning a
 profile plus geometry into per-ion couplings g_i and Stark offsets,
 which give the detunings Delta_i once a central detuning is added.
-Both fits are solved by one numpy Levenberg-Marquardt routine,
-_least_squares, so calibrating loads no SciPy module.
+Both fits are solved by one numpy trust-region routine (Powell's
+dogleg), _least_squares, so calibrating loads no SciPy module.
 """
 
 import math
@@ -108,20 +108,18 @@ def initial_trap_guess(measured_modes):
 
 
 def _least_squares(fun, x0):
-    """Minimize ||fun(x)||^2 from x0 by Levenberg-Marquardt; return x.
+    """Minimize ||fun(x)||^2 from x0 by Powell's dogleg (1970); return x.
 
-    Moré's trust-region form of the method ("The Levenberg-Marquardt
-    algorithm: implementation and theory", LNM 630, 1978), with
-    MINPACK lmdif's radius updates and tests: each step is scaled by the
-    running maximum of the Jacobian's column norms, the first is the
-    Gauss-Newton step and its length the first trust radius, and the
-    Jacobian is a forward difference with step sqrt(eps) max(1, |x_j|),
-    so x should be of order one.  It stops when a step reduces the sum
-    of squares by at most _TOL (relative), when the trust radius falls
-    below _TOL of the scaled x, or when fun(x) is within _TOL of
-    orthogonal to every Jacobian column.  Raises FitError once fun has
-    been evaluated _MAX_NFEV times, the Jacobian's evaluations included,
-    without stopping.
+    Steps are taken in variables scaled by the running maximum of the
+    Jacobian's column norms, with MINPACK lmdif's radius updates and
+    tests (Moré, LNM 630, 1978): the first step is Gauss-Newton and its
+    length the first trust radius.  The Jacobian is a forward difference
+    with step sqrt(eps) max(1, |x_j|), so x should be of order one.  It
+    stops when a step reduces the sum of squares by at most _TOL
+    (relative), when the trust radius falls below _TOL of the scaled x,
+    or when fun(x) is within _TOL of orthogonal to every Jacobian
+    column.  Raises FitError after _MAX_NFEV evaluations of fun, the
+    Jacobian's included, without stopping.
     """
     x = np.asarray(x0, dtype=float)
     f = fun(x)
@@ -143,31 +141,36 @@ def _least_squares(fun, x0):
             diag = np.where(live, norms, 1.0)
         else:
             diag = np.maximum(diag, norms)
-        u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
-        c = u.T @ f
+        # the least-norm Gauss-Newton step and the Cauchy point, scaled
+        scaled = jac / diag
+        newton = -np.linalg.lstsq(scaled, f, rcond=None)[0]
+        grad = scaled.T @ f
+        cauchy = -grad * (grad @ grad) / np.linalg.norm(scaled @ grad) ** 2
+        newton_norm, cauchy_norm = np.linalg.norm(newton), np.linalg.norm(cauchy)
+        delta = newton_norm if delta is None else delta
         while True:
-            y, par = _trust_region_step(s, vt, c, delta)
+            full = newton_norm <= delta
+            if full:
+                y = newton
+            elif cauchy_norm >= delta:
+                y = cauchy * (delta / cauchy_norm)
+            else:  # where cauchy + t (newton - cauchy) crosses the radius
+                d = newton - cauchy
+                b, c = cauchy @ d, cauchy_norm**2 - delta**2
+                y = cauchy - c / (b + math.sqrt(b * b - (d @ d) * c)) * d
             ynorm = np.linalg.norm(y)
-            step = y / diag
-            if delta is None:
-                delta = ynorm
-            x_new = x + step
+            x_new = x + y / diag
             f_new = fun(x_new)
             fnorm_new = np.linalg.norm(f_new)
             nfev += 1
             # reductions of the sum of squares, relative to its value at x
             actual = 1.0 - (fnorm_new / fnorm) ** 2 if fnorm_new < 10.0 * fnorm else -1.0
-            model = (np.linalg.norm(jac @ step) / fnorm) ** 2
-            damping = par * (ynorm / fnorm) ** 2
-            predicted = model + 2.0 * damping
+            predicted = 1.0 - (np.linalg.norm(f + scaled @ y) / fnorm) ** 2
             ratio = actual / predicted if predicted else 0.0
             if ratio <= 0.25:
-                slope = -(model + damping)
-                shrink = 0.5 if actual >= 0 else 0.5 * slope / (slope + 0.5 * actual)
-                if fnorm_new >= 10.0 * fnorm or shrink < 0.1:
-                    shrink = 0.1
+                shrink = 0.1 if fnorm_new >= 10.0 * fnorm else 0.5
                 delta = shrink * min(delta, 10.0 * ynorm)
-            elif par == 0 or ratio >= 0.75:
+            elif full or ratio >= 0.75:
                 delta = 2.0 * ynorm
             accepted = ratio >= 1e-4
             if accepted:
@@ -183,65 +186,20 @@ def _least_squares(fun, x0):
     return x
 
 
-def _trust_region_step(s, vt, c, delta):
-    """Scaled step y = D p of Moré's method, and its parameter λ.
-
-    s, vt and c = U^T f come from the SVD U diag(s) vt of the scaled
-    Jacobian J D^-1, and y(λ) = -vt^T (s c / (s^2 + λ)).  The
-    Gauss-Newton step (λ = 0, least norm if J is rank deficient) is
-    taken when delta is None (the first step, whose length sets the
-    trust radius) or when it lies within 1.1 delta.  Otherwise λ is
-    found by Moré's safeguarded Newton iteration on 1/||y(λ)|| until
-    ||y|| is within 10% of delta.
-    """
-    keep = s > s[0] * s.size * np.finfo(float).eps
-    sc = s * c
-
-    def scaled_step(par):
-        denom = np.where(keep, s**2 + par, np.inf)
-        w = sc / denom
-        norm = np.linalg.norm(w)
-        return w, norm, -np.sum(w**2 / denom) / norm  # and d||y||/dλ
-
-    par = 0.0
-    w, norm, slope = scaled_step(par)
-    if delta is None or norm <= 1.1 * delta:
-        return -vt.T @ w, par
-    # Moré's bounds: Newton from 0 (full rank) is below the root, and
-    # ||(J D^-1)^T f|| / delta above it
-    low = (norm - delta) / delta * norm / -slope if keep.all() else 0.0
-    high = np.linalg.norm(sc) / delta
-    par = max(low, 1e-3 * high)
-    w, norm, slope = scaled_step(par)
-    for _ in range(10):
-        if abs(norm - delta) <= 0.1 * delta:
-            break
-        if norm > delta:
-            low = max(low, par)
-        else:
-            high = min(high, par)
-        par += (norm - delta) / delta * norm / -slope
-        if not low < par < high:
-            par = max(1e-3 * high, math.sqrt(low * high))
-        w, norm, slope = scaled_step(par)
-    return -vt.T @ w, par
-
-
 def fit_chain_from_spectrum(measured_modes):
     """Fit (wx, wz, quartic) so the predicted collective spectrum matches.
 
-    One Levenberg-Marquardt solve (_least_squares) on the mode residuals,
-    in units of the guessed wx, started at initial_trap_guess; the
-    Jacobian is a forward difference, since the forward model contains
-    an inner equilibrium solve.  A point with no stable chain returns a
-    constant penalty residual.  A chain of two or three ions has one
-    spacing, which cannot split the axial confinement between the
-    quadratic and quartic terms, so there only (wx, wz) are fitted and
-    the quartic is 0.  The chain of the solution is the forward solve
-    the fit already made there.  Raises DegenerateDataError for a mode
-    <= 0 or a zero band width, and FitError if the fit does not
-    converge, the solution has no stable chain or its RMS residual
-    exceeds RMS_THRESHOLD.
+    One dogleg solve (_least_squares) on the mode residuals, in units of
+    the guessed wx, started at initial_trap_guess; the Jacobian is a
+    forward difference, since the forward model contains an inner
+    equilibrium solve.  A point with no stable chain returns a constant
+    penalty residual.  A chain of two or three ions has one spacing,
+    which cannot split the axial confinement between the quadratic and
+    quartic terms, so there only (wx, wz) are fitted and the quartic is
+    0.  The chain of the solution is the forward solve the fit already
+    made there.  Raises DegenerateDataError for a mode <= 0 or a zero
+    band width, and FitError if the fit does not converge, the solution
+    has no stable chain or its RMS residual exceeds RMS_THRESHOLD.
     """
     meas = np.sort(np.asarray(measured_modes, dtype=float))
     n = meas.size
@@ -288,13 +246,13 @@ def fit_chain_from_spectrum(measured_modes):
 def fit_beam_profile(positions, rabi_measured):
     """Least-squares Gaussian Omega0 exp(-2 (z-c)^2 / sigma^2).
 
-    One Levenberg-Marquardt solve (_least_squares), with the peak in
-    units of the largest Rabi frequency and the lengths in units of the
-    guessed waist.  Returns a LaserProfile with stark_amplitude left at
-    zero.  If the measured values show no curvature the distinguished
-    flat profile (waist = inf) is returned.  Raises DegenerateDataError
-    for fewer than 3 distinct positions, and FitError if the fit does
-    not converge.
+    One dogleg solve (_least_squares), with the peak in units of the
+    largest Rabi frequency and the lengths in units of the guessed
+    waist.  Returns a LaserProfile with stark_amplitude left at zero.
+    If the measured values show no curvature the distinguished flat
+    profile (waist = inf) is returned.  Raises DegenerateDataError for
+    fewer than 3 distinct positions or when every value is 0 (no drive
+    was measured), and FitError if the fit does not converge.
     """
     z = np.asarray(positions, dtype=float)
     rabi = np.asarray(rabi_measured, dtype=float)
@@ -302,9 +260,11 @@ def fit_beam_profile(positions, rabi_measured):
         raise ValueError("positions and rabi_measured must have the same length")
     if np.unique(z).size < 3:
         raise DegenerateDataError("need at least 3 distinct positions")
+    if not rabi.any():
+        raise DegenerateDataError("no drive measured: every Rabi frequency is 0")
 
     spread = rabi.max() - rabi.min()
-    if spread <= FLAT_RTOL * max(abs(rabi).max(), 1e-300):
+    if spread <= FLAT_RTOL * abs(rabi).max():
         return LaserProfile(
             peak_rabi=float(rabi.mean()), waist=math.inf, beam_center=0.0
         )

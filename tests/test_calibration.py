@@ -152,6 +152,11 @@ class TestFitBeamProfile:
         with pytest.raises(DegenerateDataError):
             fit_beam_profile([1e-6, 1e-6, 1e-6], [khz(1), khz(2), khz(3)])
 
+    def test_no_drive_rejected(self):
+        # all zero is no measurement, not a flat beam of peak 0
+        with pytest.raises(DegenerateDataError, match="no drive measured"):
+            fit_beam_profile([-5e-6, 0.0, 5e-6], [0.0, 0.0, 0.0])
+
     def test_offcenter_beam(self):
         z = np.linspace(-60e-6, 60e-6, 25)
         center = 12e-6

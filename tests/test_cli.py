@@ -199,14 +199,20 @@ class TestSimulate:
             title = root.find("{http://www.w3.org/2000/svg}text").text
             assert title == "per-ion <sigma_z>"
 
-    def test_delta_scan_threaded_matches_serial(self, tmp_path):
+    def test_benchmark_flags_parse_and_change_no_byte(self, tmp_path):
+        # bench/run.py passes --threads and bench/tests pass --seed; both
+        # must still parse and neither may change an artifact
         text = SMALL_CFG + "delta_scan_kHz = -30,10\nscan_ion = 1\n"
         cfg = write(tmp_path / "scan.cfg", text)
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
+        out1, out2 = tmp_path / "plain", tmp_path / "flagged"
         assert main(["simulate", cfg, "--output-dir", str(out1)]) == 0
-        assert main(["--threads", "2", "simulate", cfg,
+        assert main(["--threads", "2", "--seed", "1", "simulate", cfg,
                      "--output-dir", str(out2)]) == 0
-        assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*")
+                               if p.is_file())
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def cfg_with(text, override):
@@ -617,35 +623,36 @@ class TestCalibrate:
         assert main(["calibrate", "--spectrum", csv]) == 2
 
     @pytest.mark.parametrize("modes,code,message", [
-        ("2.7,2.7", 2, "band width"),
-        ("2.7,-2.7", 2, "positive mode"),
         ("0.1,2.7", 4, "no stable chain"),
-    ], ids=["flat", "negative", "zigzag"])
+    ], ids=["zigzag"])
     def test_degenerate_spectrum_exit_code(self, tmp_path, capsys, modes, code,
                                            message):
         csv = write(tmp_path / "spec.csv", spectrum_csv(modes))
         assert main(["calibrate", "--spectrum", csv]) == code
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option,rows,line", [
-        ("--spectrum", ["index,frequency_MHz", "1,2.7", "2,-2.7"], 3),
-        ("--spectrum", ["index,frequency_MHz", "1,0", "2,2.7"], 2),
+    @pytest.mark.parametrize("option,rows,line,message", [
+        ("--spectrum", ["index,frequency_MHz", "1,2.7", "2,-2.7"], 3, "positive mode"),
+        ("--spectrum", ["index,frequency_MHz", "1,0", "2,2.7"], 2, "positive mode"),
         # abs() of the fitted peak once turned these into a +2 kHz beam
-        ("--rabi", ["position_um,rabi_kHz", "-5,-1", "0,-2", "5,-1"], 2),
-        ("--rabi", ["position_um,rabi_kHz", "-5,1", "0,-2", "5,1", "10,0.5"], 3),
+        ("--rabi", ["position_um,rabi_kHz", "-5,-1", "0,-2", "5,-1"], 2, ">= 0"),
+        ("--rabi", ["position_um,rabi_kHz", "-5,1", "0,-2", "5,1", "10,0.5"], 3,
+         ">= 0"),
     ], ids=["negative-mode", "zero-mode", "negative-rabi", "mixed-sign-rabi"])
     def test_impossible_cell_exits_2_naming_file_and_line(self, tmp_path, capsys,
-                                                          option, rows, line):
+                                                          option, rows, line,
+                                                          message):
         csv = write(tmp_path / "cells.csv", "\n".join(rows) + "\n")
         assert main(["calibrate", option, csv]) == 2
         err = capsys.readouterr().err
-        assert f"line {line}: {csv}: bad " in err
+        assert f"line {line}: {csv}: bad " in err and message in err
 
     @pytest.mark.parametrize("command,text,message", [
         ("--spectrum", spectrum_csv("2.7,2.7"), "band width"),
         ("--rabi", "position_um,rabi_kHz\n1,40\n1,50\n2,45\n", "3 distinct positions"),
+        ("--rabi", "position_um,rabi_kHz\n-5,0\n0,0\n5,0\n", "no drive measured"),
         ("simulate", spectrum_csv("2.7,2.7"), "band width"),
-    ], ids=["flat-spectrum", "two-positions", "flat-spectrum-config"])
+    ], ids=["flat-spectrum", "two-positions", "zero-rabi", "flat-spectrum-config"])
     def test_degenerate_data_names_file(self, tmp_path, capsys, command, text,
                                         message):
         csv = write(tmp_path / "data.csv", text)
@@ -664,13 +671,6 @@ class TestCalibrate:
         csv = write(tmp_path / "spec.csv", spectrum_csv("2.692,2.744,2.732,2.744"))
         assert main(["calibrate", "--spectrum", csv]) == 4
         assert "exceeds" in capsys.readouterr().err
-
-    def test_degenerate_spectrum_config_exits_2(self, tmp_path, capsys):
-        csv = write(tmp_path / "spec.csv", spectrum_csv("2.7,2.7"))
-        lines = small_cfg_with(f"geometry = spectrum\nspectrum_file = {csv}")
-        cfg = write(tmp_path / "run.cfg", "\n".join(lines) + "\n")
-        assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 2
-        assert "band width" in capsys.readouterr().err
 
 
 def test_unit_roundtrip_exact():
