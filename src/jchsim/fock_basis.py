@@ -85,11 +85,11 @@ class SectorBasis:
         self.weights = np.broadcast_to(1.0, (len(occupations),))
         n, m = n_ions, excitations
         # Counts for indices(), each at most D: _placements[r, j] is the
-        # number of ways to put r phonons on j ions.
+        # number of ways to put r phonons on j ions; columns are contiguous.
         self._placements = np.array(
             [[comb(r + j - 1, j - 1) if j else 0 for j in range(n + 1)]
              for r in range(m + 1)],
-            dtype=np.int64,
+            dtype=np.int64, order="F",
         )
         # _before[i, k]: states whose mask has k ups above bit i, bit i
         # clear and any bits below, i.e. those preceding a mask with bit i
@@ -110,26 +110,24 @@ class SectorBasis:
         return len(self.occupations)
 
     def indices(self, spins, occupations):
-        """Positions of in-sector states given as (K, N) spin and occupation rows.
+        """Positions of in-sector states given as (K, N) spin and occupation arrays.
 
         The rank is the number of states in the blocks of smaller spin
         masks plus the colex rank of the occupations within the block.
         Rows must lie in the sector: the result for any other row is
         meaningless and may fall outside 0..D-1.
         """
-        spins = np.asarray(spins, dtype=bool)
-        occupations = np.asarray(occupations)
         index = np.zeros(len(spins), dtype=np.int64)
         ups = np.zeros(len(spins), dtype=np.int64)
         for i in range(self.n_ions - 1, -1, -1):
-            index += spins[:, i] * self._before[i, ups]
+            index += np.where(spins[:, i], self._before[i][ups], 0)
             ups += spins[:, i]
         # Colex rank: from ion N down, count the compositions of the phonons
         # still left whose last part is smaller than this ion's occupation.
         left = self.excitations - ups
         for j in range(self.n_ions, 1, -1):
-            occ = occupations[:, j - 1]
-            index += self._placements[left, j] - self._placements[left - occ, j]
+            occ, placements = occupations[:, j - 1], self._placements[:, j]
+            index += placements[left] - placements[left - occ]
             left -= occ
         return index
 

@@ -7,7 +7,8 @@ H = sum_i [ Delta_i/2 sigma_z^i + omega_i a_i^dag a_i
 built on a fixed-excitation SectorBasis, or on its MirrorEvenBasis,
 from the per-ion JchParameters of one detuning, by one builder that
 reads either basis alike.  In either basis every matrix element is
-real, so the matrix is stored as a real symmetric CSR.
+real, so the matrix is stored as a real symmetric CSR, assembled from
+the raising moves alone: no lowering move reaches its upper triangle.
 norm_bound bounds the norm of H, and mirror_asymmetry how far H is
 from commuting with the ion reversal, which decides whether the even
 sector may stand in for the full one.  This module builds only H:
@@ -115,27 +116,18 @@ def _diagonal(params, spins, occ):
 
 
 def _couplings(params, spins, occ):
-    """Off-diagonal elements of H out of the given states, term by term.
+    """Raising off-diagonal elements of H out of the given states, by term.
 
     Yields (sources, target spins, target occupations, elements), where
-    sources index the given rows, in pairs: each lowering term, one per
-    ion or hopping pair,
-      spin flip down with phonon emission on ion i (spin up, any n_i):
-          element g_i sqrt(n_i + 1)
-      phonon hop j -> i for i < j with n_j >= 1:
-          element t_ij sqrt((n_i + 1) n_j)
-    followed by its reverse, so every neighbour of each given state is
-    produced, with the element the lowering term gives from that
-    neighbour.
+    sources index the given rows, one block per raising term:
+      spin flip up with phonon absorption on ion i: g_i sqrt(n_i)
+      phonon hop i -> j for i < j: t_ij sqrt((n_j + 1) n_i)
+    Their reverses, the lowering moves, strictly lower the full-sector
+    index: a flip down lowers the spin mask, and a hop j -> i lowers the
+    colex rank, whose most significant digit is ion N's occupation.
     """
     g, t = params.couplings, params.hoppings
     for i in range(params.n_ions):
-        col = np.flatnonzero(spins[:, i])
-        down = spins[col]
-        down[:, i] = False
-        emitted = occ[col]
-        emitted[:, i] += 1
-        yield col, down, emitted, g[i] * np.sqrt(occ[col, i] + 1.0)
         col = np.flatnonzero(~spins[:, i] & (occ[:, i] > 0))
         up = spins[col]
         up[:, i] = True
@@ -144,13 +136,24 @@ def _couplings(params, spins, occ):
         yield col, up, absorbed, g[i] * np.sqrt(occ[col, i] + 0.0)
 
     for i, j in zip(*np.nonzero(np.triu(t, 1))):
-        for to, source in ((i, j), (j, i)):
-            col = np.flatnonzero(occ[:, source])
-            hopped = occ[col]
-            hopped[:, to] += 1
-            hopped[:, source] -= 1
-            yield col, spins[col], hopped, t[i, j] * np.sqrt(
-                (occ[col, to] + 1.0) * occ[col, source])
+        col = np.flatnonzero(occ[:, i])
+        hopped = occ[col]
+        hopped[:, j] += 1
+        hopped[:, i] -= 1
+        yield col, spins[col], hopped, t[i, j] * np.sqrt(
+            (occ[col, j] + 1.0) * occ[col, i])
+
+
+def _batches(blocks, size):
+    """Consecutive blocks, concatenated until each batch holds size rows or more."""
+    batch = []
+    for block in blocks:
+        batch.append(block)
+        if sum(len(sources) for sources, *_ in batch) >= size:
+            yield map(np.concatenate, zip(*batch))
+            batch = []
+    if batch:
+        yield map(np.concatenate, zip(*batch))
 
 
 def _index_dtype(dim):
@@ -197,18 +200,18 @@ def build_hamiltonian(params, basis):
     single states),
         <a|H|b> = (w_b / w_a) * sum over y in orbit b of H[r_a, y],
     so each row is read off the neighbours of one representative, one
-    vectorized block per term and its reverse (see _couplings).  Only
-    the upper triangle (b > a) is kept and mirrored, so the CSR is
-    bitwise symmetric; a pair coupled to its own mirror image (b == a)
-    adds H[r, Pr] to its diagonal.  On a MirrorEvenBasis the matrix is
-    that of the mean of the parameters and their mirror image, whose H
-    is (H + PHP) / 2, and the full-sector matrix is never formed.
+    vectorized block per raising term (see _couplings).  A lowering move
+    from r_a lands below r_a, so in an orbit b < a, as a representative
+    is the lower index of its orbit: every entry with b > a, and the
+    H[r, Pr] that a pair coupled to its own mirror image (b == a) adds to
+    its diagonal, comes from a raising move.  The upper triangle is
+    mirrored, so the CSR is bitwise symmetric.  On a MirrorEvenBasis the
+    matrix is that of the mean of the parameters and their mirror image,
+    whose H is (H + PHP) / 2, and the full-sector matrix is never formed.
     """
-    n = params.n_ions
-    if n != basis.n_ions:
-        raise ValueError(
-            f"parameters are for {n} ions but basis has {basis.n_ions}"
-        )
+    if params.n_ions != basis.n_ions:
+        raise ValueError(f"parameters are for {params.n_ions} ions but "
+                         f"basis has {basis.n_ions}")
     if isinstance(basis, MirrorEvenBasis):
         # Mirror-symmetric parameters come back bitwise unchanged.
         params = JchParameters(*(0.5 * (x + y) for x, y in _mirror_pairs(params)))
@@ -217,13 +220,12 @@ def build_hamiltonian(params, basis):
     diag = _diagonal(params, spins, occ)
     index = _index_dtype(dim)
     rows, cols, vals = [], [], []
-    blocks = _couplings(params, spins, occ)
-    # Each term and its reverse are ranked in one indices() call.
-    for pair in zip(blocks, blocks):
-        a, moved_spins, moved, element = map(np.concatenate, zip(*pair))
+    # Moves are ranked in batches of at least D, one indices() call each;
+    # np.add.at sums a source row that repeats within a batch.
+    for a, moved_spins, moved, element in _batches(_couplings(params, spins, occ), dim):
         b = basis.indices(moved_spins, moved)
         same = b == a
-        diag[a[same]] += element[same]
+        np.add.at(diag, a[same], element[same])
         upper = b > a
         a, b = a[upper], b[upper]
         rows.append(a.astype(index))

@@ -173,7 +173,9 @@ class TestBuildHamiltonian:
                 energy += params.local_frequencies[i] * basis.occupations[j, i]
             assert dense[j, j] == pytest.approx(energy, abs=1e-6)
 
-    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (6, 3), (32, 1)])
+    # (32, 2) ranks batches that span many hopping blocks, so a source row
+    # repeats within one indices() call.
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (6, 3), (32, 1), (32, 2)])
     def test_matches_per_state_assembly(self, n, m):
         params = random_params(n, 100 * n + m)
         basis = enumerate_sector(n, m)
@@ -182,6 +184,32 @@ class TestBuildHamiltonian:
         assert np.array_equal(dense != 0.0, expected != 0.0)
         scale = np.abs(expected).max()
         assert np.abs(dense - expected).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("mirror_even", [False, True])
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (5, 3), (6, 6), (7, 2), (32, 2)])
+    def test_lowering_moves_rank_below_their_source(self, n, m, mirror_even):
+        # The builder generates only raising moves.  That loses no entry of
+        # the upper triangle or of the diagonal only if every lowering move
+        # (spin flip down with emission, phonon hop j -> i for i < j) out of
+        # a representative lands in a strictly lower orbit.
+        basis = enumerate_sector(n, m, mirror_even=mirror_even)
+        spins, occ = basis.spins, basis.occupations
+        moves = 0
+        for i in range(n):
+            src = np.flatnonzero(spins[:, i])
+            down, emitted = spins[src], occ[src]
+            down[:, i] = False
+            emitted[:, i] += 1
+            assert np.all(basis.indices(down, emitted) < src)
+            moves += len(src)
+            for j in range(i + 1, n):
+                src = np.flatnonzero(occ[:, j])
+                hopped = occ[src]
+                hopped[:, i] += 1
+                hopped[:, j] -= 1
+                assert np.all(basis.indices(spins[src], hopped) < src)
+                moves += len(src)
+        assert moves > 0
 
     def test_build_peak_memory_and_canonical_csr(self):
         # tracemalloc counts this process's allocations, so the ratio does
