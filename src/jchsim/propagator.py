@@ -1,15 +1,19 @@
 """Time evolution of sector states and observable sampling.
 
 There is one evolution path: a short-iterate Lanczos approximation of
-exp(-iHt)v with adaptive sub-stepping.  A Lanczos step keeps its basis
-semi-orthogonal: it reorthogonalizes only where Simon's omega-recurrence
-estimates a loss of orthogonality above min(step budget, sqrt(eps)).
-The complex matvec is two contiguous real sparse products.  Only
-observables are kept.  A constant shift of H changes neither the Krylov
-space nor the error estimate, only a phase no observable sees:
-propagate_krylov exponentiates the matrix it is given, and the
-Hamiltonians of a detuning scan, evolved as one block-diagonal system,
-are each centred on their own mean diagonal.
+exp(-iHt)v with adaptive sub-stepping, one propagate_krylov call through
+all sample times.  A Lanczos step reads every sample its basis reaches
+within budget off that basis (dense output), keeps the basis
+semi-orthogonal (it reorthogonalizes only where Simon's omega-recurrence
+estimates a loss of orthogonality above min(step budget, sqrt(eps))),
+and works in the arithmetic of its start vector: the real initial state
+gets a real basis, one real sparse product per matvec, and a complex
+matvec is two contiguous real products.  Only observables are kept.
+A constant shift of H changes neither the Krylov space nor the error
+estimate, only a phase no observable sees: propagate_krylov
+exponentiates the matrix it is given, and the Hamiltonians of a detuning
+scan, evolved as one block-diagonal system, are each centred on their
+own mean diagonal.
 """
 
 import math
@@ -20,8 +24,9 @@ import numpy as np
 from .fock_basis import MirrorEvenBasis
 from .hamiltonian import SparseHamiltonian
 
-# Largest Krylov subspace of one Lanczos step; a step that does not meet
-# its error budget within it is halved.
+# Largest Krylov subspace of one Lanczos step, in complex rows; a real
+# basis holds twice the rows in the same bytes.  A step that does not
+# reach its first sample within it is halved.
 MAX_KRYLOV_DIM = 40
 # A Lanczos iteration computes its exact error estimate only when the
 # estimate's leading Taylor term is within this factor of the budget.
@@ -90,36 +95,46 @@ def prepare_initial_state(basis, excited_ions):
     return v
 
 
-def _lanczos_step(matvec, v, dt, err_budget, V):
-    """One Lanczos exp(-i dt H) v attempt with partial reorthogonalization.
+def _lanczos_step(matvec, v, dts, budgets, V):
+    """Lanczos exp(-i dt H) v at several dt off one semi-orthogonal basis.
 
-    V is the (m_max, D) complex array the Krylov basis is written into,
-    so that a caller making many attempts allocates it once.
+    dts are the step's sample offsets, of one sign and increasing in
+    magnitude, and budgets their error budgets.  V, of v's dtype, is the
+    array the basis is written into, so that a caller allocates it once;
+    its rows bound the step.  Returns (coords, err): coords[j] holds the
+    coordinates in V of the state at dts[j] (see _from_basis) for each
+    leading sample whose estimate passed, and err is the last one's
+    estimate; or (None, best estimate) if the first sample did not pass.
 
-    Returns (new_v, error_estimate) or (None, best_estimate) if the
-    budget was not met within m_max iterations.
+    Dense output: at each check, T's eigendecomposition is computed once
+    and the next samples are read off it in turn, up to the first that
+    fails its budget.  Once the first sample has passed at k1 rows, the
+    basis grows only to the bytes of k1 complex rows (2 k1 real rows), so
+    a complex step stops at its first sample.
 
-    The tridiagonal exponential is computed only at iterations that can
-    pass: the leading Taylor term of its last entry, |dt|^k b_1..b_k / k!,
-    is kept as a running product, and the exact estimate is skipped while
-    that term (capped at 1, a bound on the entry) puts the estimate above
-    SCREEN_FACTOR times the budget.  Breakdown and the last allowed
-    iteration are always checked.  Skipping can only add iterations; it
-    never accepts a state with a larger estimate.
+    The exact estimate is computed only at iterations that can pass: the
+    leading Taylor term of the last entry of exp(-i dt T)[:, 0] for the
+    next sample, |dt|^k b_1..b_k / k!, is kept as a running product, and
+    the exact estimate is skipped while that term (capped at 1, a bound
+    on the entry) puts the estimate above SCREEN_FACTOR times the budget.
+    Breakdown and the last allowed iteration are always checked.  Skipping
+    can only add iterations; it never accepts a state with a larger
+    estimate.
 
     The basis is kept semi-orthogonal, not orthonormal (Simon, Math. Comp.
     1984): Simon's omega-recurrence estimates the overlaps <V[k+1], V[j]>
     from the alphas and betas alone, and a new vector is reorthogonalized
     against the whole basis only when the largest estimate exceeds
-    min(err_budget, sqrt(eps)), and once more on the next iteration.
+    min(budgets[0], sqrt(eps)), and once more on the next iteration.
     Lanczos for f(H)v tolerates a loss of orthogonality at that level
     (Druskin, Greenbaum & Knizhnerman, SISC 1998), and a tiny budget
     reorthogonalizes every iteration.  The check follows the accept test,
     so the accepting iteration never pays for it.
     """
-    tau = abs(dt)
     eps = np.finfo(float).eps
-    threshold = min(err_budget, math.sqrt(eps))
+    threshold = min(budgets[0], math.sqrt(eps))
+    complex_bytes = np.dtype(complex).itemsize
+    rows = len(V)  # lowered to the memory rule's limit once a sample passes
     beta0 = np.linalg.norm(v)
     np.divide(v, beta0, out=V[0])
     alphas = np.empty(len(V))
@@ -130,7 +145,9 @@ def _lanczos_step(matvec, v, dt, err_budget, V):
     omega_prev = np.zeros(len(V) + 1)
     omega[1] = 1.0
     again = False  # reorthogonalize this iteration's vector as well
-    lead = 1.0  # |dt|^k * betas[1] ... betas[k] / k!
+    coords = []
+    tau = abs(dts[0])  # |dt| of the next unreached sample
+    lead = 1.0  # tau^k * betas[1] ... betas[k] / k!
     scale = 1.0  # max(1, |alphas[0]|, ..., |alphas[k]|)
     err = np.inf
 
@@ -145,19 +162,33 @@ def _lanczos_step(matvec, v, dt, err_budget, V):
 
         scale = max(scale, abs(alphas[k]))
         happy = beta < 1e-13 * scale
-        last = k + 1 >= len(V)
+        n = len(coords)
         # u is a unit column, so |u[-1]| <= 1 caps the Taylor term.
         screen = tau * beta * min(lead, 1.0)
-        if happy or (k >= 1 and (last or screen <= SCREEN_FACTOR * err_budget)):
-            u = _tridiag_expm_col(alphas[: k + 1], betas[1 : k + 1], dt)
-            # Integrated-residual estimate: the ODE residual of the Krylov
-            # approximant is beta * u_m(s) * v_{m+1}, so the step error is
-            # bounded by roughly |dt| * beta * |u_m|.
-            err = 0.0 if happy else tau * beta * abs(u[-1])
-            if err <= err_budget or happy:
-                return beta0 * (V[: k + 1].T @ u), err
-        if last:
-            return None, err
+        if happy or (k >= 1 and (k + 1 >= rows
+                                 or screen <= SCREEN_FACTOR * budgets[n])):
+            expm_col = _tridiag_expm_col(alphas[: k + 1], betas[1 : k + 1])
+            while n < len(dts):
+                u = expm_col(dts[n])
+                # Integrated-residual estimate: the ODE residual of the
+                # Krylov approximant is beta * u_m(s) * v_{m+1}, so the
+                # error at dt is bounded by roughly |dt| * beta * |u_m|.
+                est = 0.0 if happy else abs(dts[n]) * beta * abs(u[-1])
+                if est > budgets[n]:
+                    if n == 0:
+                        err = est
+                    break
+                coords.append(beta0 * u)
+                err = est
+                n += 1
+            if n == len(dts):
+                return coords, err
+            if coords:
+                rows = min(rows, len(coords[0]) * complex_bytes // V.itemsize)
+                lead *= (abs(dts[n]) / tau) ** k
+                tau = abs(dts[n])
+        if k + 1 >= rows:
+            return coords or None, err
 
         # Simon's recurrence for the overlaps of V[k+1] with V[:k], each
         # grown by a rounding term eps * (beta_{k+1} + beta_{j+1}).
@@ -182,37 +213,66 @@ def _lanczos_step(matvec, v, dt, err_budget, V):
         lead *= tau * beta / k
 
 
-def _tridiag_expm_col(alphas, offdiag, dt):
-    """First column of exp(-i dt T) for symmetric tridiagonal T."""
-    if alphas.size == 1:
-        return np.exp(-1j * dt * alphas)
-    # numpy's dense eigh of T, at most MAX_KRYLOV_DIM square, costs tens of
-    # microseconds more per call than LAPACK's tridiagonal dstevd; over the
-    # few hundred calls of a shipped run that is less than the 0.09 s
-    # import of scipy.linalg (2-vCPU host), which simulate no longer loads.
+def _tridiag_expm_col(alphas, offdiag):
+    """First column of exp(-i dt T) for symmetric tridiagonal T, as a
+    function of dt: one eigendecomposition of T serves every dt."""
+    # numpy's dense eigh of T, at most 2 * MAX_KRYLOV_DIM square, costs tens
+    # of microseconds more per call than LAPACK's tridiagonal dstevd; over
+    # the few hundred calls of a shipped run that is less than the 0.09 s
+    # import of scipy.linalg (2-vCPU host), which simulate does not load.
     # eigh reads only the lower triangle.
     evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(offdiag, -1))
-    return evecs @ (np.exp(-1j * dt * evals) * evecs[0])
+    first = evecs[0]
+    return lambda dt: evecs @ (np.exp(-1j * dt * evals) * first)
 
 
-def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
-    """Advance v0 by exp(-i H t_target) with adaptive Lanczos sub-steps.
+def _from_basis(V, u):
+    """The state with coordinates u in the first len(u) rows of V."""
+    rows = V[: len(u)]
+    if np.iscomplexobj(rows):
+        return rows.T @ u
+    # rows.T @ u would upcast a complex copy of the real basis.
+    out = np.empty(V.shape[1], dtype=complex)
+    out.real = rows.T @ u.real
+    out.imag = rows.T @ u.imag
+    return out
+
+
+def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None):
+    """Advance v0 by exp(-i H t) with adaptive Lanczos steps.
+
+    t_target is one time, or the sample times as offsets from v0, of one
+    sign and increasing in magnitude.  Returns the state at the last;
+    observe(j, state), if given, gets the state at each t_target[j] as it
+    is formed.  Only the current state is held.
+
+    A step aims at the next sample, or part of the way after a refusal,
+    and reads every further sample its basis passes (see _lanczos_step).
+    A refused step is halved; the next is 1.5 times the last accepted
+    one, across samples.  A state whose imaginary part is all zeros, as
+    the initial product state's is, starts a real step: a float64 view of
+    the same buffer, 2 m_max rows, one real product per matvec.
 
     tol is an error budget for the whole evolution, relative to the norm
-    of v0; each sub-step gets a share proportional to its duration
-    relative to time_scale (defaults to |t_target|).  The (m_max, D)
-    Krylov basis is allocated once per call and reused by every step and
-    halving.  For a stacked vector of B unit blocks, evolve passes
-    krylov_tol / sqrt(B), so that krylov_tol bounds the absolute error of
-    the whole stacked vector.  Only h.matrix is read.
+    of v0; the state at each sample gets a share proportional to its time
+    relative to time_scale (defaults to the last |t_target|).  The buffer
+    of m_max complex rows is allocated once per call.  For a stacked
+    vector of B unit blocks, evolve passes krylov_tol / sqrt(B), so that
+    krylov_tol bounds the absolute error of the whole stacked vector.
+    Only h.matrix is read.
     """
-    if t_target == 0.0:
-        return v0.copy()
+    offsets = np.atleast_1d(np.asarray(t_target, dtype=float))
+    direction = -1.0 if offsets[-1] < 0 else 1.0
+    taus = direction * offsets
     if time_scale is None:
-        time_scale = abs(t_target)
+        time_scale = taus[-1]
+    if observe is None:
+        observe = lambda j, state: None
     mat = h.matrix
 
     def matvec(x):
+        if not np.iscomplexobj(x):
+            return mat @ x
         # Two contiguous real products; scipy would otherwise upcast the
         # real CSR against the complex vector.
         out = np.empty_like(x)
@@ -221,36 +281,46 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None):
         return out
 
     v = v0.astype(complex, copy=True)
-    krylov_basis = np.empty((m_max, v.size), dtype=complex)
+    krylov_buffer = np.empty((m_max, v.size), dtype=complex)
     t = 0.0
-    direction = 1.0 if t_target > 0 else -1.0
-    remaining = abs(t_target)
-    dt = remaining
+    j = 0  # next sample
+    dt = np.inf  # longest first offset the next step may try
     min_dt = 1e-18 * time_scale
 
-    while remaining > 0.0:
-        dt = min(dt, remaining)
-        budget = tol * dt / time_scale
-        new_v, err = _lanczos_step(matvec, v, direction * dt, budget, krylov_basis)
-        if new_v is None:
-            dt *= 0.5
+    while True:
+        while j < len(taus) and taus[j] <= t:
+            observe(j, v)
+            j += 1
+        if j == len(taus):
+            return v
+        sub_step = dt < taus[j] - t  # part of the way to the next sample
+        dts = np.array([dt]) if sub_step else taus[j:] - t
+        start = v if np.any(v.imag) else v.real
+        basis = krylov_buffer.view(start.dtype).reshape(-1, v.size)
+        coords, err = _lanczos_step(matvec, start, direction * dts,
+                                    tol * dts / time_scale, basis)
+        if coords is None:
+            dt = 0.5 * dts[0]
             if dt < min_dt:
                 raise PropagationError(
-                    f"time step underflow at t={t:.3e}s (err estimate {err:.3e})"
+                    f"time step underflow at t={direction * t:.3e}s "
+                    f"(err estimate {err:.3e})"
                 )
             continue
-        v = new_v
-        t += direction * dt
-        remaining -= dt
-        dt *= 1.5  # gentle growth; clipped to the remaining interval above
-
-    return v
+        for u in coords:
+            v = _from_basis(basis, u)
+            if not sub_step:
+                observe(j, v)
+                j += 1
+        t = t + dts[0] if sub_step else taus[j - 1]
+        dt = 1.5 * dts[len(coords) - 1]  # gentle growth, kept across samples
 
 
 def evolve(h, req, basis):
     """Sample per-ion <sigma_z> on a uniform grid under the Hamiltonian.
 
-    Each sample interval is one propagate_krylov call.  h is one
+    All samples come from one propagate_krylov call, which hands each
+    state to the observables as it is formed.  h is one
     SparseHamiltonian, or a list of them on the same basis (the detunings
     of a scan), evolved together from the same initial state.  exp(-iHt)
     of a block-diagonal H is the block-diagonal of the blocks'
@@ -291,17 +361,17 @@ def evolve(h, req, basis):
     sz = np.empty((blocks, req.samples, basis.n_ions))
     norm_drift = np.empty((blocks, req.samples))
     exc_drift = np.empty((blocks, req.samples))
-    v = np.tile(v0, blocks)
-    for k, t in enumerate(times):
-        if k > 0:
-            v = propagate_krylov(stacked, v, t - times[k - 1], tol,
-                                 MAX_KRYLOV_DIM, time_scale=req.total_time)
+
+    def observe(k, v):
         for b, vb in enumerate(v.reshape(blocks, dim)):
             nrm = np.linalg.norm(vb)
             norm_drift[b, k] = abs(nrm - 1.0)
             probs = np.abs(vb / nrm) ** 2
             sz[b, k] = probs @ signs
             exc_drift[b, k] = abs(float(probs @ totals) - m)
+
+    propagate_krylov(stacked, np.tile(v0, blocks), times, tol, MAX_KRYLOV_DIM,
+                     time_scale=req.total_time, observe=observe)
 
     series = [
         TimeSeries(times=times, sigma_z=sz[b], norm_drift=norm_drift[b],

@@ -94,17 +94,21 @@ def record_lanczos_steps(monkeypatch):
 def sampled_states(h, req, basis):
     """The states evolve samples for one Hamiltonian, one row per time.
 
-    Steps propagate_krylov from prepare_initial_state between the sample
-    times with time_scale=total_time, as evolve does for a single
+    One propagate_krylov call from prepare_initial_state through the
+    sample times with time_scale=total_time, as evolve makes for a single
     Hamiltonian.
     """
-    states = [propagator.prepare_initial_state(basis, req.excited_ions)]
-    for dt in np.diff(np.linspace(0.0, req.total_time, req.samples)):
-        states.append(propagator.propagate_krylov(
-            h, states[-1], dt, req.krylov_tol, propagator.MAX_KRYLOV_DIM,
-            time_scale=req.total_time,
-        ))
-    return np.array(states)
+    states = np.empty((req.samples, basis.dimension), dtype=complex)
+
+    def keep(j, v):
+        states[j] = v
+
+    propagator.propagate_krylov(
+        h, propagator.prepare_initial_state(basis, req.excited_ions),
+        np.linspace(0.0, req.total_time, req.samples), req.krylov_tol,
+        propagator.MAX_KRYLOV_DIM, time_scale=req.total_time, observe=keep,
+    )
+    return states
 
 
 def dense_states(h, req, basis):

@@ -724,6 +724,11 @@ class TestJointScan:
         assert {size for size, _, _ in joint} == {len(deltas) * 100}
         if override:
             assert not all(accepted for _, _, accepted in joint)
+            # The step length is kept across samples after a refusal: 29
+            # refusals and 3,171 matvecs, where restarting every sample at
+            # its whole interval made 50 and 4,030.
+            assert sum(not accepted for _, _, accepted in joint) <= 40
+            assert sum(calls for _, calls, _ in joint) <= 3500
         dense = per_detuning(cfg, dense_sigma_z)
         serial = per_detuning(cfg, evolve)
         for d in deltas:

@@ -16,6 +16,7 @@ from jchsim.ion_chain import (
 from jchsim.propagator import (
     MAX_KRYLOV_DIM,
     EvolutionRequest,
+    _from_basis,
     _lanczos_step,
     _tridiag_expm_col,
     evolve,
@@ -268,9 +269,18 @@ def counting(matvec):
 
 
 def lanczos_step(matvec, v, dt, budget, m_max):
-    """_lanczos_step with a fresh (m_max, D) Krylov basis."""
-    return _lanczos_step(matvec, v, dt, budget,
-                         np.empty((m_max, v.size), dtype=complex))
+    """_lanczos_step to the one offset dt, with a fresh Krylov basis of
+    m_max rows in v's dtype: (state at dt or None, estimate)."""
+    V = np.empty((m_max, v.size), dtype=v.dtype)
+    coords, err = _lanczos_step(matvec, v, np.array([dt]), np.array([budget]), V)
+    return (None if coords is None else _from_basis(V, coords[0])), err
+
+
+def starts(v):
+    """v as the two kinds of start _lanczos_step takes: float64, and
+    complex.  The complex start carries a global phase, which changes no
+    estimate, so both stop at the same iteration."""
+    return [np.ascontiguousarray(v.real), v * np.exp(0.25j * np.pi)]
 
 
 def unscreened_stop(ests, budget):
@@ -299,56 +309,58 @@ class TestLanczosStep:
     def test_stops_at_first_passing_iteration(self, model, dt):
         basis, h = model()
         matvec = plain_matvec(h)
-        v = prepare_initial_state(basis, range(1, basis.n_ions + 1))
-        ests = unscreened_estimates(matvec, v, dt, self.M_MAX)
-        placed = np.sort([e for e in ests if 1e-12 < e < np.inf])
-        # Budgets sit midway between estimates at least 10% apart, so
-        # rounding in either Lanczos run cannot move the stopping point.
-        wide = placed[1:] / placed[:-1] >= 1.1
-        budgets = np.sqrt(placed[1:] * placed[:-1])[wide]
-        budgets = np.concatenate([budgets, [1e-13, 10.0 * placed.max(initial=1.0)]])
-        for budget in budgets:
-            k, est, converged = unscreened_stop(ests, budget)
-            counted, calls = counting(matvec)
-            new_v, err = lanczos_step(counted, v, dt, budget, self.M_MAX)
-            if new_v is not None:
-                assert err <= budget
-            if budget > self.MAX_STEP_BUDGET:
-                # Where the error still falls slowly, the screen may skip
-                # a passing iteration: the step then only runs longer.
-                assert len(calls) >= k + 1, budget
-                continue
-            assert len(calls) == k + 1, budget
-            assert (new_v is not None) == converged
-            assert err == pytest.approx(est, rel=1e-3, abs=1e-14)
+        for v in starts(prepare_initial_state(basis, range(1, basis.n_ions + 1))):
+            ests = unscreened_estimates(matvec, v, dt, self.M_MAX)
+            placed = np.sort([e for e in ests if 1e-12 < e < np.inf])
+            # Budgets sit midway between estimates at least 10% apart, so
+            # rounding in either Lanczos run cannot move the stopping point.
+            wide = placed[1:] / placed[:-1] >= 1.1
+            budgets = np.sqrt(placed[1:] * placed[:-1])[wide]
+            budgets = np.concatenate([budgets,
+                                      [1e-13, 10.0 * placed.max(initial=1.0)]])
+            for budget in budgets:
+                k, est, converged = unscreened_stop(ests, budget)
+                counted, calls = counting(matvec)
+                new_v, err = lanczos_step(counted, v, dt, budget, self.M_MAX)
+                if new_v is not None:
+                    assert err <= budget
+                if budget > self.MAX_STEP_BUDGET:
+                    # Where the error still falls slowly, the screen may
+                    # skip a passing iteration: the step then only runs
+                    # longer.
+                    assert len(calls) >= k + 1, budget
+                    continue
+                assert len(calls) == k + 1, budget
+                assert (new_v is not None) == converged
+                assert err == pytest.approx(est, rel=1e-3, abs=1e-14)
 
     def test_nearly_invariant_subspace_is_checked(self):
         # |dt| * beta_1 = 100 puts the Taylor term far above |u[-1]| <= 1,
         # while the tiny beta_2 makes the estimate pass at k = 1.
         diag, off = [0.0, 1.0, 2.0, 3.0], [100.0, 1e-6, 1.0]
         h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        v = np.eye(4, dtype=complex)[0]
-        ests = unscreened_estimates(lambda x: h @ x, v, 1.0, 4)
-        assert unscreened_stop(ests, 2e-6)[0] == 1
-        counted, calls = counting(lambda x: h @ x)
-        new_v, err = lanczos_step(counted, v, 1.0, 2e-6, 4)
-        assert len(calls) == 2 and new_v is not None
+        for v in starts(np.eye(4, dtype=complex)[0]):
+            ests = unscreened_estimates(lambda x: h @ x, v, 1.0, 4)
+            assert unscreened_stop(ests, 2e-6)[0] == 1
+            counted, calls = counting(lambda x: h @ x)
+            new_v, err = lanczos_step(counted, v, 1.0, 2e-6, 4)
+            assert len(calls) == 2 and new_v is not None
 
     def test_fig2a_breakdown_returns_exact_state(self):
         basis, h = fig2a_model()
         matvec = plain_matvec(h)
-        v = prepare_initial_state(basis, [1, 2])
-        new_v, err = lanczos_step(matvec, v, 1e-3, 1e-300, self.M_MAX)
-        exact = scipy.linalg.expm(-1j * 1e-3 * h.matrix.toarray()) @ v
-        assert err == 0.0
-        assert np.max(np.abs(new_v - exact)) < 1e-10
+        for v in starts(prepare_initial_state(basis, [1, 2])):
+            new_v, err = lanczos_step(matvec, v, 1e-3, 1e-300, self.M_MAX)
+            exact = scipy.linalg.expm(-1j * 1e-3 * h.matrix.toarray()) @ v
+            assert err == 0.0
+            assert np.max(np.abs(new_v - exact)) < 1e-10
 
     def test_step_hitting_m_max_returns_finite_estimate(self):
         basis, h = band_edge_model()
-        v = prepare_initial_state(basis, [1, 2, 3, 4])
-        new_v, err = lanczos_step(plain_matvec(h), v, 1e-3, 1e-12, 5)
-        assert new_v is None
-        assert np.isfinite(err) and err > 1e-12
+        for v in starts(prepare_initial_state(basis, [1, 2, 3, 4])):
+            new_v, err = lanczos_step(plain_matvec(h), v, 1e-3, 1e-12, 5)
+            assert new_v is None
+            assert np.isfinite(err) and err > 1e-12
 
     def test_basis_stays_semi_orthogonal(self):
         # A band-edge step that accepts after more than 30 iterations, by
@@ -356,36 +368,102 @@ class TestLanczosStep:
         # beyond the reorthogonalization threshold min(budget, sqrt(eps)).
         basis, h = band_edge_model()
         matvec = plain_matvec(h)
-        v = prepare_initial_state(basis, [1, 2, 3, 4])
         dt, budget = 3e-5, 1e-9
         threshold = min(budget, np.sqrt(np.finfo(float).eps))
-        counted, calls = counting(matvec)
-        V = np.zeros((self.M_MAX, v.size), dtype=complex)
-        new_v, err = _lanczos_step(counted, v, dt, budget, V)
-        k = len(calls)
-        assert new_v is not None and err <= budget and k > 30
-        assert max_overlap(V[:k]) <= threshold
+        for v in starts(prepare_initial_state(basis, [1, 2, 3, 4])):
+            counted, calls = counting(matvec)
+            V = np.zeros((self.M_MAX, v.size), dtype=v.dtype)
+            new_v, err = _lanczos_step(counted, v, np.array([dt]),
+                                       np.array([budget]), V)
+            k = len(calls)
+            assert new_v is not None and err <= budget and k > 30
+            assert max_overlap(V[:k]) <= threshold
 
-        plain = [v / np.linalg.norm(v)]
-        beta = 0.0
-        for j in range(k - 1):
-            w = matvec(plain[j]) - (beta * plain[j - 1] if j else 0.0)
-            w = w - np.vdot(plain[j], w).real * plain[j]
-            beta = np.linalg.norm(w)
-            plain.append(w / beta)
-        assert max_overlap(np.array(plain)) > threshold
+            plain = [v / np.linalg.norm(v)]
+            beta = 0.0
+            for j in range(k - 1):
+                w = matvec(plain[j]) - (beta * plain[j - 1] if j else 0.0)
+                w = w - np.vdot(plain[j], w).real * plain[j]
+                beta = np.linalg.norm(w)
+                plain.append(w / beta)
+            assert max_overlap(np.array(plain)) > threshold
 
-    # every size up to MAX_KRYLOV_DIM
-    @pytest.mark.parametrize("size", range(1, MAX_KRYLOV_DIM + 1))
+    # every size up to 2 * MAX_KRYLOV_DIM, the rows of a real basis
+    @pytest.mark.parametrize("size", range(1, 2 * MAX_KRYLOV_DIM + 1))
     def test_tridiag_expm_col_matches_expm(self, size):
         rng = np.random.default_rng(size)
         alphas = rng.uniform(-1.0, 1.0, size)
         offdiag = rng.uniform(0.1, 1.0, size - 1)
         t = np.diag(alphas) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+        expm_col = _tridiag_expm_col(alphas, offdiag)
         for dt in (0.3, -4.0):
             expected = scipy.linalg.expm(-1j * dt * t)[:, 0]
-            got = _tridiag_expm_col(alphas, offdiag, dt)
+            got = expm_col(dt)
             assert np.max(np.abs(got - expected)) < 1e-13
+
+
+class TestDenseOutput:
+    """One Lanczos basis read at several sample times.
+
+    Ten band-edge samples 5 us apart from the all-excited state, each
+    with the budget krylov_tol * t / T that propagate_krylov gives it.
+    """
+
+    TOL = 1e-9
+    DTS = 5e-6 * np.arange(1, 11)
+    BUDGETS = TOL * DTS / DTS[-1]
+
+    def test_samples_match_expm_multiply_within_budgets(self):
+        from scipy.sparse.linalg import expm_multiply
+
+        basis, h = band_edge_model()
+        v = prepare_initial_state(basis, [1, 2, 3, 4]).real.copy()
+        V = np.empty((2 * MAX_KRYLOV_DIM, v.size))
+        coords, err = _lanczos_step(plain_matvec(h), v, self.DTS,
+                                    self.BUDGETS, V)
+        assert len(coords) >= 3
+        assert err <= self.BUDGETS[len(coords) - 1]
+        for dt, budget, u in zip(self.DTS, self.BUDGETS, coords):
+            exact = expm_multiply(-1j * dt * h.matrix, v)
+            assert np.linalg.norm(_from_basis(V, u) - exact) <= budget
+
+    def test_every_sample_of_one_call_within_its_share(self):
+        from scipy.sparse.linalg import expm_multiply
+
+        basis, h = band_edge_model()
+        v0 = prepare_initial_state(basis, [1, 2, 3, 4])
+        times = np.concatenate([[0.0], self.DTS])
+        got = []
+        last = propagate_krylov(h, v0, times, self.TOL, MAX_KRYLOV_DIM,
+                                observe=lambda j, v: got.append((j, v.copy())))
+        assert [j for j, _ in got] == list(range(len(times)))
+        assert np.array_equal(got[0][1], v0) and np.array_equal(got[-1][1], last)
+        for (_, v), t in zip(got[1:], self.DTS):
+            exact = expm_multiply(-1j * t * h.matrix, v0)
+            assert np.linalg.norm(v - exact) <= self.TOL * t / times[-1]
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_memory_rule(self, kind):
+        # A step grows only to the bytes of the k1 complex rows at which
+        # its first sample passed: 2 k1 real rows, or k1 complex rows.
+        basis, h = band_edge_model()
+        matvec = plain_matvec(h)
+        real, cplx = starts(prepare_initial_state(basis, [1, 2, 3, 4]))
+        v = real if kind == "real" else cplx
+        counted, first = counting(matvec)
+        lanczos_step(counted, v, self.DTS[0], self.BUDGETS[0], 2 * MAX_KRYLOV_DIM)
+        k1 = len(first)
+        limit = k1 * 16 // v.itemsize
+        V = np.full((MAX_KRYLOV_DIM * 16 // v.itemsize, v.size), np.nan,
+                    dtype=v.dtype)
+        counted, calls = counting(matvec)
+        coords, _ = _lanczos_step(counted, v, self.DTS, self.BUDGETS, V)
+        assert len(calls) <= limit
+        assert np.isnan(V[len(calls):]).all()
+        if kind == "complex":
+            assert len(calls) == k1  # a complex step stops at its first sample
+        else:
+            assert len(coords) > 1 and len(calls) > k1
 
 
 def symmetric_chain(spacings_um, top_mode_mhz, delta_khz=-60.0):
@@ -505,10 +583,11 @@ class TestAccuracyLadder:
 
     def test_band_edge_long_step(self):
         basis, h = band_edge_model()
-        counted, calls = counting(plain_matvec(h))
         v0 = prepare_initial_state(basis, [1, 2, 3, 4])
-        lanczos_step(counted, v0, 3e-5, self.TOL, MAX_KRYLOV_DIM)
-        assert len(calls) > 30
+        for v in starts(v0):
+            counted, calls = counting(plain_matvec(h))
+            lanczos_step(counted, v, 3e-5, self.TOL, MAX_KRYLOV_DIM)
+            assert len(calls) > 30
         err = self.realized_error(basis, h, 3e-5)
         assert err <= self.TOL, f"band edge: realized error {err:.3e}"
 
