@@ -55,14 +55,62 @@ def sector_dimension(n_ions, excitations):
 
 @lru_cache(maxsize=None)
 def _compositions_colex(total, parts):
-    """All compositions of total into parts parts, colex ascending."""
+    """All compositions of total into parts parts, colex ascending: a
+    read-only int16 array, one composition per row."""
     if parts == 1:
-        return ((total,),)
-    out = []
-    for last in range(total + 1):
-        for head in _compositions_colex(total - last, parts - 1):
-            out.append(head + (last,))
-    return tuple(out)
+        out = np.full((1, 1), total, dtype=np.int16)
+    else:
+        heads = [_compositions_colex(total - last, parts - 1)
+                 for last in range(total + 1)]
+        lasts = np.repeat(np.arange(total + 1, dtype=np.int16),
+                          [len(head) for head in heads])
+        out = np.column_stack([np.concatenate(heads), lasts])
+    out.flags.writeable = False
+    return out
+
+
+class _SectorRank:
+    """Closed-form position of in-sector states in a sector's order.
+
+    It holds only counting tables, each entry at most D, so a basis that
+    ranks full-sector states need not hold the full sector's arrays.
+    """
+
+    def __init__(self, n_ions, excitations):
+        n, m = self.n_ions, self.excitations = n_ions, excitations
+        # _placements[r, j] is the number of ways to put r phonons on j
+        # ions; columns are contiguous.
+        self._placements = np.array(
+            [[comb(r + j - 1, j - 1) if j else 0 for j in range(n + 1)]
+             for r in range(m + 1)],
+            dtype=np.int64, order="F",
+        )
+        # _before[i, k]: states whose mask has k ups above bit i, bit i
+        # clear and any bits below, i.e. those preceding a mask with bit i
+        # set among masks that share its bits above i.
+        block = [int(c) for c in self._placements[:, n]]
+        self._before = np.array(
+            [[sum(comb(i, u) * block[m - k - u] for u in range(min(i, m - k) + 1))
+              for k in range(m + 1)]
+             for i in range(n)],
+            dtype=np.int64,
+        )
+
+    def __call__(self, spins, occupations):
+        """See SectorBasis.indices."""
+        index = np.zeros(len(spins), dtype=np.int64)
+        ups = np.zeros(len(spins), dtype=np.int64)
+        for i in range(self.n_ions - 1, -1, -1):
+            index += np.where(spins[:, i], self._before[i][ups], 0)
+            ups += spins[:, i]
+        # Colex rank: from ion N down, count the compositions of the phonons
+        # still left whose last part is smaller than this ion's occupation.
+        left = self.excitations - ups
+        for j in range(self.n_ions, 1, -1):
+            occ, placements = occupations[:, j - 1], self._placements[:, j]
+            index += placements[left] - placements[left - occ]
+            left -= occ
+        return index
 
 
 class SectorBasis:
@@ -83,24 +131,7 @@ class SectorBasis:
         occupations.flags.writeable = False
         # A read-only zero-stride view, which holds no array of D ones.
         self.weights = np.broadcast_to(1.0, (len(occupations),))
-        n, m = n_ions, excitations
-        # Counts for indices(), each at most D: _placements[r, j] is the
-        # number of ways to put r phonons on j ions; columns are contiguous.
-        self._placements = np.array(
-            [[comb(r + j - 1, j - 1) if j else 0 for j in range(n + 1)]
-             for r in range(m + 1)],
-            dtype=np.int64, order="F",
-        )
-        # _before[i, k]: states whose mask has k ups above bit i, bit i
-        # clear and any bits below, i.e. those preceding a mask with bit i
-        # set among masks that share its bits above i.
-        block = [int(c) for c in self._placements[:, n]]
-        self._before = np.array(
-            [[sum(comb(i, u) * block[m - k - u] for u in range(min(i, m - k) + 1))
-              for k in range(m + 1)]
-             for i in range(n)],
-            dtype=np.int64,
-        )
+        self._rank = _SectorRank(n_ions, excitations)
 
     def __len__(self):
         return len(self.occupations)
@@ -117,19 +148,7 @@ class SectorBasis:
         Rows must lie in the sector: the result for any other row is
         meaningless and may fall outside 0..D-1.
         """
-        index = np.zeros(len(spins), dtype=np.int64)
-        ups = np.zeros(len(spins), dtype=np.int64)
-        for i in range(self.n_ions - 1, -1, -1):
-            index += np.where(spins[:, i], self._before[i][ups], 0)
-            ups += spins[:, i]
-        # Colex rank: from ion N down, count the compositions of the phonons
-        # still left whose last part is smaller than this ion's occupation.
-        left = self.excitations - ups
-        for j in range(self.n_ions, 1, -1):
-            occ, placements = occupations[:, j - 1], self._placements[:, j]
-            index += placements[left] - placements[left - occ]
-            left -= occ
-        return index
+        return self._rank(spins, occupations)
 
     def spin_signs(self):
         """(D, N) int8 diagonal of sigma_z^i: each state's +/-1 spin eigenvalues."""
@@ -145,13 +164,13 @@ class MirrorEvenBasis:
     are 1/sqrt(2) for a pair and 1 for a state that is its own mirror
     image, which is then counted once.  spins and occupations are the
     representatives' rows, and indices() maps any in-sector state to its
-    orbit.  full is the sector the orbits partition.
+    orbit.  The full sector's own arrays are not kept.
     """
 
     def __init__(self, full):
-        self.full = full
         self.n_ions = full.n_ions
         self.excitations = full.excitations
+        self._rank = full._rank
         dim = full.dimension
         partner = full.indices(full.spins[:, ::-1], full.occupations[:, ::-1])
         reps = np.flatnonzero(np.arange(dim) <= partner)
@@ -177,16 +196,17 @@ class MirrorEvenBasis:
 
     def indices(self, spins, occupations):
         """Orbits of in-sector states given as (K, N) spin and occupation rows."""
-        return self.orbit[self.full.indices(spins, occupations)]
+        return self.orbit[self._rank(spins, occupations)]
 
     def spin_signs(self):
         """(D, N) int8 diagonal of sigma_z^i: each orbit's mean spin eigenvalue.
 
-        The mean of a pair's two +/-1 values is -1, 0 or 1.
+        A representative's partner is its reversal, so the pair's signs
+        are the representative's own read backwards; the mean of a pair's
+        two +/-1 values is -1, 0 or 1.
         """
-        signs = self.full.spin_signs()
-        pair = self.partner[self.representatives]
-        return (signs[self.representatives] + signs[pair]) // 2
+        signs = np.where(self.spins, np.int8(1), np.int8(-1))
+        return (signs + signs[:, ::-1]) // 2
 
 
 def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP,
@@ -216,8 +236,7 @@ def enumerate_sector(n_ions, excitations, dimension_cap=DEFAULT_DIMENSION_CAP,
         [[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=bool
     )
     # Each mask with k ups owns a block of the colex compositions of M - k.
-    tables = [np.array(_compositions_colex(m - k, n), dtype=np.int16)
-              for k in range(min(n, m) + 1)]
+    tables = [_compositions_colex(m - k, n) for k in range(min(n, m) + 1)]
     blocks = [tables[k] for k in mask_spins.sum(axis=1)]
     spins = np.repeat(mask_spins, [len(b) for b in blocks], axis=0)
     occupations = np.concatenate(blocks)

@@ -156,31 +156,40 @@ def _batches(blocks, size):
         yield map(np.concatenate, zip(*batch))
 
 
+def _move_count(params, spins, occ):
+    """Number of raising moves _couplings yields out of the given states:
+    per ion, its spin-down rows with a phonon, and per coupled pair
+    i < j, the rows with a phonon on ion i."""
+    with_phonon = np.count_nonzero(occ > 0, axis=0)
+    flips = np.count_nonzero(~spins & (occ > 0))
+    return int(flips + with_phonon[np.nonzero(np.triu(params.hoppings, 1))[0]].sum())
+
+
 def _index_dtype(dim):
     # Indices are stored as int32 whenever D fits, as scipy would pick, so
     # the conversion below reads them without another copy.
     return np.int32 if dim <= np.iinfo(np.int32).max else np.int64
 
 
-def _csr(dim, rows, cols, vals, diag):
+def _csr(dim, upper, diag):
     """Real symmetric CSR from one triangle's entries and the diagonal.
 
-    Both triangles and the diagonal go through one COO -> CSR conversion,
+    upper holds the (rows, cols, vals) arrays of the triangle, and is
+    emptied, so that they are freed as they are consumed.  Both
+    triangles and the diagonal go through one COO -> CSR conversion,
     which sums repeated (row, col) entries.  A repeat has two terms at
     most, so its sum is the same in either triangle and the matrix stays
     bitwise symmetric.  Zeros are dropped, as CSR addition would drop
-    them.  The lists are emptied as they are consumed, to free their
-    arrays early.
+    them.
     """
+    rows, cols, vals = upper
+    upper.clear()
     on_diag = np.arange(dim, dtype=_index_dtype(dim))
-    r = np.concatenate(rows + cols + [on_diag])
-    c = np.concatenate(cols + rows + [on_diag])
-    rows.clear()
-    cols.clear()
-    del on_diag
-    v = np.concatenate(vals + vals + [diag])
-    vals.clear()
-    del diag
+    r = np.concatenate([rows, cols, on_diag])
+    c = np.concatenate([cols, rows, on_diag])
+    del rows, cols, on_diag
+    v = np.concatenate([vals, vals, diag])
+    del vals, diag
     # Imported here, so that only a Hamiltonian build loads scipy.sparse.
     import scipy.sparse as sp
 
@@ -218,17 +227,26 @@ def build_hamiltonian(params, basis):
     dim = basis.dimension
     spins, occ, weights = basis.spins, basis.occupations, basis.weights
     diag = _diagonal(params, spins, occ)
+    # The upper triangle is written into arrays sized once from the move
+    # count, not gathered batch by batch, so no scattered batch arrays
+    # outlive the build on the heap.
+    moves = _move_count(params, spins, occ)
     index = _index_dtype(dim)
-    rows, cols, vals = [], [], []
+    upper = [np.empty(moves, dtype=index), np.empty(moves, dtype=index),
+             np.empty(moves)]
+    n = 0
     # Moves are ranked in batches of at least D, one indices() call each;
     # np.add.at sums a source row that repeats within a batch.
     for a, moved_spins, moved, element in _batches(_couplings(params, spins, occ), dim):
         b = basis.indices(moved_spins, moved)
         same = b == a
         np.add.at(diag, a[same], element[same])
-        upper = b > a
-        a, b = a[upper], b[upper]
-        rows.append(a.astype(index))
-        cols.append(b.astype(index))
-        vals.append(element[upper] * (weights[b] / weights[a]))
-    return SparseHamiltonian(_csr(dim, rows, cols, vals, diag), params, basis)
+        keep = b > a
+        a, b = a[keep], b[keep]
+        end = n + len(a)
+        upper[0][n:end] = a
+        upper[1][n:end] = b
+        upper[2][n:end] = element[keep] * (weights[b] / weights[a])
+        n = end
+    upper = [x[:n] for x in upper]
+    return SparseHamiltonian(_csr(dim, upper, diag), params, basis)

@@ -8,7 +8,9 @@ semi-orthogonal (it reorthogonalizes only where Simon's omega-recurrence
 estimates a loss of orthogonality above min(step budget, sqrt(eps))),
 and works in the arithmetic of its start vector: the real initial state
 gets a real basis, one real sparse product per matvec, and a complex
-matvec is two contiguous real products.  Only observables are kept.
+matvec is two contiguous real products.  A real step whose whole window
+is predicted to fit its buffer reads it all off one basis.  Only
+observables are kept.
 A constant shift of H changes neither the Krylov space nor the error
 estimate, only a phase no observable sees: propagate_krylov
 exponentiates the matrix it is given, and the Hamiltonians of a detuning
@@ -95,22 +97,32 @@ def prepare_initial_state(basis, excited_ions):
     return v
 
 
-def _lanczos_step(matvec, v, dts, budgets, V):
+def _lanczos_step(matvec, v, dts, budgets, V, reach=None):
     """Lanczos exp(-i dt H) v at several dt off one semi-orthogonal basis.
 
     dts are the step's sample offsets, of one sign and increasing in
     magnitude, and budgets their error budgets.  V, of v's dtype, is the
     array the basis is written into, so that a caller allocates it once;
-    its rows bound the step.  Returns (coords, err): coords[j] holds the
-    coordinates in V of the state at dts[j] (see _from_basis) for each
-    leading sample whose estimate passed, and err is the last one's
+    its rows bound the step, and the first sample must pass within reach
+    rows (all of V by default).  Returns (coords, err): coords[j] holds
+    the coordinates in V of the state at dts[j] (see _from_basis) for
+    each leading sample whose estimate passed, and err is the last one's
     estimate; or (None, best estimate) if the first sample did not pass.
 
     Dense output: at each check, T's eigendecomposition is computed once
     and the next samples are read off it in turn, up to the first that
     fails its budget.  Once the first sample has passed at k1 rows, the
-    basis grows only to the bytes of k1 complex rows (2 k1 real rows), so
-    a complex step stops at its first sample.
+    basis grows only to the bytes of k1 complex rows (2 k1 real rows),
+    and not past reach, so a complex step stops at its first sample.  A
+    step whose window is predicted to fit grows past that, up to all of
+    V, as a longer step costs fewer rows per sample (Hochbruck & Lubich,
+    SINUM 1997): once n samples have passed, the last at kn rows, the
+    prediction kn + (len(dts) - n) (kn - k1) / (n - 1) extends the rows
+    per sample taken since the first, which alone carries the basis's
+    start-up cost.  It is re-made as samples pass, so a step stops as
+    soon as its window is no longer predicted to fit.  Only a step that
+    reads a sample past k1 rows sees a rate, so a complex step never
+    does.
 
     The exact estimate is computed only at iterations that can pass: the
     leading Taylor term of the last entry of exp(-i dt T)[:, 0] for the
@@ -119,7 +131,10 @@ def _lanczos_step(matvec, v, dts, budgets, V):
     on the entry) puts the estimate above SCREEN_FACTOR times the budget.
     Breakdown and the last allowed iteration are always checked.  Skipping
     can only add iterations; it never accepts a state with a larger
-    estimate.
+    estimate.  While the window is predicted to fit, every iteration is
+    checked: for a later, longer sample the Taylor term overstates the
+    estimate by far more than SCREEN_FACTOR, and would hold each read
+    back by several rows that the growing basis pays for in memory.
 
     The basis is kept semi-orthogonal, not orthonormal (Simon, Math. Comp.
     1984): Simon's omega-recurrence estimates the overlaps <V[k+1], V[j]>
@@ -134,7 +149,8 @@ def _lanczos_step(matvec, v, dts, budgets, V):
     eps = np.finfo(float).eps
     threshold = min(budgets[0], math.sqrt(eps))
     complex_bytes = np.dtype(complex).itemsize
-    rows = len(V)  # lowered to the memory rule's limit once a sample passes
+    reach = len(V) if reach is None else reach
+    rows = reach  # set by the memory rule once a sample passes
     beta0 = np.linalg.norm(v)
     np.divide(v, beta0, out=V[0])
     alphas = np.empty(len(V))
@@ -148,6 +164,7 @@ def _lanczos_step(matvec, v, dts, budgets, V):
     coords = []
     tau = abs(dts[0])  # |dt| of the next unreached sample
     lead = 1.0  # tau^k * betas[1] ... betas[k] / k!
+    fits = False  # the window is predicted to fit in V
     scale = 1.0  # max(1, |alphas[0]|, ..., |alphas[k]|)
     err = np.inf
 
@@ -165,7 +182,7 @@ def _lanczos_step(matvec, v, dts, budgets, V):
         n = len(coords)
         # u is a unit column, so |u[-1]| <= 1 caps the Taylor term.
         screen = tau * beta * min(lead, 1.0)
-        if happy or (k >= 1 and (k + 1 >= rows
+        if happy or (k >= 1 and (k + 1 >= rows or fits
                                  or screen <= SCREEN_FACTOR * budgets[n])):
             expm_col = _tridiag_expm_col(alphas[: k + 1], betas[1 : k + 1])
             while n < len(dts):
@@ -184,7 +201,9 @@ def _lanczos_step(matvec, v, dts, budgets, V):
             if n == len(dts):
                 return coords, err
             if coords:
-                rows = min(rows, len(coords[0]) * complex_bytes // V.itemsize)
+                k1, kn = len(coords[0]), len(coords[-1])
+                fits = kn > k1 and kn + (len(dts) - n) * (kn - k1) / (n - 1) <= len(V)
+                rows = len(V) if fits else min(reach, k1 * complex_bytes // V.itemsize)
                 lead *= (abs(dts[n]) / tau) ** k
                 tau = abs(dts[n])
         if k + 1 >= rows:
@@ -216,7 +235,7 @@ def _lanczos_step(matvec, v, dts, budgets, V):
 def _tridiag_expm_col(alphas, offdiag):
     """First column of exp(-i dt T) for symmetric tridiagonal T, as a
     function of dt: one eigendecomposition of T serves every dt."""
-    # numpy's dense eigh of T, at most 2 * MAX_KRYLOV_DIM square, costs tens
+    # numpy's dense eigh of T, at most the real buffer's rows square, costs tens
     # of microseconds more per call than LAPACK's tridiagonal dstevd; over
     # the few hundred calls of a shipped run that is less than the 0.09 s
     # import of scipy.linalg (2-vCPU host), which simulate does not load.
@@ -238,7 +257,8 @@ def _from_basis(V, u):
     return out
 
 
-def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None):
+def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
+                     real_rows=None):
     """Advance v0 by exp(-i H t) with adaptive Lanczos steps.
 
     t_target is one time, or the sample times as offsets from v0, of one
@@ -249,14 +269,20 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None)
     A step aims at the next sample, or part of the way after a refusal,
     and reads every further sample its basis passes (see _lanczos_step).
     A refused step is halved; the next is 1.5 times the last accepted
-    one, across samples.  A state whose imaginary part is all zeros, as
-    the initial product state's is, starts a real step: a float64 view of
-    the same buffer, 2 m_max rows, one real product per matvec.
+    one, across samples.
+
+    The basis buffer holds real_rows float64 rows (2 m_max by default,
+    the bytes of m_max complex rows) and is allocated once per call.  A
+    complex step uses its first m_max complex rows.  A state whose
+    imaginary part is all zeros, as the initial product state's is,
+    starts a real step on the whole buffer, one real product per matvec:
+    its first sample must pass within 2 m_max rows, and only a window
+    predicted to fit grows past them (see _lanczos_step).  v0 is read,
+    never written, and is not copied when it is complex.
 
     tol is an error budget for the whole evolution, relative to the norm
     of v0; the state at each sample gets a share proportional to its time
-    relative to time_scale (defaults to the last |t_target|).  The buffer
-    of m_max complex rows is allocated once per call.  For a stacked
+    relative to time_scale (defaults to the last |t_target|).  For a stacked
     vector of B unit blocks, evolve passes krylov_tol / sqrt(B), so that
     krylov_tol bounds the absolute error of the whole stacked vector.
     Only h.matrix is read.
@@ -280,8 +306,9 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None)
         out.imag = mat @ x.imag
         return out
 
-    v = v0.astype(complex, copy=True)
-    krylov_buffer = np.empty((m_max, v.size), dtype=complex)
+    v = np.asarray(v0, dtype=complex)
+    krylov_buffer = np.empty((max(real_rows or 0, 2 * m_max), v.size))
+    complex_basis = krylov_buffer[: 2 * m_max].reshape(-1).view(complex).reshape(m_max, -1)
     t = 0.0
     j = 0  # next sample
     dt = np.inf  # longest first offset the next step may try
@@ -295,10 +322,12 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None)
             return v
         sub_step = dt < taus[j] - t  # part of the way to the next sample
         dts = np.array([dt]) if sub_step else taus[j:] - t
-        start = v if np.any(v.imag) else v.real
-        basis = krylov_buffer.view(start.dtype).reshape(-1, v.size)
+        if np.any(v.imag):
+            start, basis, reach = v, complex_basis, m_max
+        else:
+            start, basis, reach = v.real, krylov_buffer, 2 * m_max
         coords, err = _lanczos_step(matvec, start, direction * dts,
-                                    tol * dts / time_scale, basis)
+                                    tol * dts / time_scale, basis, reach)
         if coords is None:
             dt = 0.5 * dts[0]
             if dt < min_dt:
@@ -307,7 +336,11 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None)
                     f"(err estimate {err:.3e})"
                 )
             continue
+        # The basis holds the start vector, so each state is freed before
+        # the next is formed beside the basis.
+        start = None
         for u in coords:
+            v = None
             v = _from_basis(basis, u)
             if not sub_step:
                 observe(j, v)
@@ -350,14 +383,22 @@ def evolve(h, req, basis):
         # keeps the absolute error of the whole stacked vector, and so of
         # each block, within krylov_tol.
         tol = req.krylov_tol / math.sqrt(blocks)
+        v0 = np.tile(v0, blocks)
 
-    # Only the current state is held; each sample's observables are read
-    # off it: <sigma_z> = |v|^2 @ signs and <exc> = |v|^2 @ totals.
-    # On a MirrorEvenBasis the signs are orbit means: sigma_z is diagonal,
-    # so an even vector's <sigma_z^i> is |v_a|^2 times its orbit's mean.
+    # Only the current state and one copy of the initial state are held;
+    # each sample's observables are read off the state as it is formed.
+    # sigma_z is diagonal, and its diagonal is constant over each run of
+    # rows with equal spin signs, long runs as the basis is ordered by spin
+    # mask: <sigma_z> sums |v|^2 over each run and weights the sums by the
+    # runs' signs, with no (D, N) table of signs.  On a MirrorEvenBasis
+    # the signs are orbit means, so an even vector's <sigma_z^i> is
+    # |v_a|^2 times its orbit's mean.  <exc> = |v|^2 @ totals.
+    signs = basis.spin_signs()
+    runs = np.flatnonzero(np.r_[True, np.any(signs[1:] != signs[:-1], axis=1)])
+    run_signs = signs[runs].astype(float)
+    del signs
     m = basis.excitations
-    signs = basis.spin_signs().astype(float)
-    totals = basis.spins.sum(axis=1) + basis.occupations.sum(axis=1)
+    totals = (basis.spins.sum(axis=1) + basis.occupations.sum(axis=1)).astype(float)
     sz = np.empty((blocks, req.samples, basis.n_ions))
     norm_drift = np.empty((blocks, req.samples))
     exc_drift = np.empty((blocks, req.samples))
@@ -366,12 +407,23 @@ def evolve(h, req, basis):
         for b, vb in enumerate(v.reshape(blocks, dim)):
             nrm = np.linalg.norm(vb)
             norm_drift[b, k] = abs(nrm - 1.0)
-            probs = np.abs(vb / nrm) ** 2
-            sz[b, k] = probs @ signs
+            probs = np.abs(vb)  # squared in place: no complex temporary
+            probs *= probs
+            probs /= nrm * nrm
+            sz[b, k] = np.add.reduceat(probs, runs) @ run_signs
             exc_drift[b, k] = abs(float(probs @ totals) - m)
 
-    propagate_krylov(stacked, np.tile(v0, blocks), times, tol, MAX_KRYLOV_DIM,
-                     time_scale=req.total_time, observe=observe)
+    # Per stacked state, the real buffer holds the bytes of MAX_KRYLOV_DIM
+    # complex rows plus those of what this evolution does not hold beside
+    # its basis: a float64 (D, N) sign table (N / B rows), a copy of one
+    # block's initial state (2 / B rows) and one of the stacked state (2
+    # rows).  So its worst case is that of a complex basis with those
+    # beside it, and only a real step whose window is predicted to fit
+    # uses the rows past 2 MAX_KRYLOV_DIM.
+    real_rows = 2 * MAX_KRYLOV_DIM + 2 + (2 + basis.n_ions) // blocks
+    propagate_krylov(stacked, v0, times, tol, MAX_KRYLOV_DIM,
+                     time_scale=req.total_time, observe=observe,
+                     real_rows=real_rows)
 
     series = [
         TimeSeries(times=times, sigma_z=sz[b], norm_drift=norm_drift[b],

@@ -273,7 +273,7 @@ def test_09_large_sector_performance(monkeypatch):
     ok &= np.all(np.abs(series.sigma_z) <= 1 + 1e-8)
     # The budget is the matvec count, which load on the machine cannot
     # move; the wall time is printed, not judged.  The full-sector Fig. 2b
-    # evolution makes 2,970.
+    # evolution makes 2,940.
     matvecs = sum(calls for _, calls, _ in log)
     ok &= matvecs <= 3000
     report(9, f"N=8 M=8 evolution in {elapsed:.1f}s, {matvecs} matvecs", ok)

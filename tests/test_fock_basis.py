@@ -165,13 +165,16 @@ class TestMirrorEvenBasis:
         assert (2 * len(even) - 192) == 157184
 
     def test_spin_signs_are_orbit_means(self):
-        full = enumerate_sector(4, 3)
-        even = enumerate_sector(4, 3, mirror_even=True)
-        signs = full.spin_signs().astype(float)
-        reps = even.representatives
-        expected = 0.5 * (signs[reps] + signs[even.partner[reps]])
-        assert even.spin_signs().dtype == np.int8
-        assert np.array_equal(even.spin_signs(), expected)
+        # Against the means over the full sector's orbits, which the even
+        # basis reads off its representatives' own signs.
+        for n, m in [(4, 3), (6, 6), (8, 3)]:
+            full = enumerate_sector(n, m)
+            even = enumerate_sector(n, m, mirror_even=True)
+            signs = full.spin_signs().astype(float)
+            reps = even.representatives
+            expected = 0.5 * (signs[reps] + signs[even.partner[reps]])
+            assert even.spin_signs().dtype == np.int8
+            assert np.array_equal(even.spin_signs(), expected), (n, m)
 
     def test_arrays_are_read_only(self):
         even = enumerate_sector(3, 2, mirror_even=True)

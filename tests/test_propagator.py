@@ -388,8 +388,9 @@ class TestLanczosStep:
                 plain.append(w / beta)
             assert max_overlap(np.array(plain)) > threshold
 
-    # every size up to 2 * MAX_KRYLOV_DIM, the rows of a real basis
-    @pytest.mark.parametrize("size", range(1, 2 * MAX_KRYLOV_DIM + 1))
+    # every size up to 3 * MAX_KRYLOV_DIM, past the rows of the real basis
+    # of evolve (2 MAX_KRYLOV_DIM + N + 4) up to N = 36 ions
+    @pytest.mark.parametrize("size", range(1, 3 * MAX_KRYLOV_DIM + 1))
     def test_tridiag_expm_col_matches_expm(self, size):
         rng = np.random.default_rng(size)
         alphas = rng.uniform(-1.0, 1.0, size)
@@ -442,14 +443,23 @@ class TestDenseOutput:
             exact = expm_multiply(-1j * t * h.matrix, v0)
             assert np.linalg.norm(v - exact) <= self.TOL * t / times[-1]
 
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_memory_rule(self, kind):
-        # A step grows only to the bytes of the k1 complex rows at which
-        # its first sample passed: 2 k1 real rows, or k1 complex rows.
+    def start_and_k1(self):
+        """The real start, its matvec, and the rows k1 at which the first
+        sample passes on its own."""
         basis, h = band_edge_model()
         matvec = plain_matvec(h)
-        real, cplx = starts(prepare_initial_state(basis, [1, 2, 3, 4]))
-        v = real if kind == "real" else cplx
+        v = starts(prepare_initial_state(basis, [1, 2, 3, 4]))[0]
+        counted, first = counting(matvec)
+        lanczos_step(counted, v, self.DTS[0], self.BUDGETS[0], 2 * MAX_KRYLOV_DIM)
+        return v, matvec, len(first)
+
+    @pytest.mark.parametrize("kind", ["complex"])
+    def test_memory_rule(self, kind):
+        # A complex step grows only to the bytes of the k1 complex rows at
+        # which its first sample passed.
+        basis, h = band_edge_model()
+        matvec = plain_matvec(h)
+        v = starts(prepare_initial_state(basis, [1, 2, 3, 4]))[1]
         counted, first = counting(matvec)
         lanczos_step(counted, v, self.DTS[0], self.BUDGETS[0], 2 * MAX_KRYLOV_DIM)
         k1 = len(first)
@@ -457,13 +467,41 @@ class TestDenseOutput:
         V = np.full((MAX_KRYLOV_DIM * 16 // v.itemsize, v.size), np.nan,
                     dtype=v.dtype)
         counted, calls = counting(matvec)
-        coords, _ = _lanczos_step(counted, v, self.DTS, self.BUDGETS, V)
+        _lanczos_step(counted, v, self.DTS, self.BUDGETS, V)
         assert len(calls) <= limit
         assert np.isnan(V[len(calls):]).all()
-        if kind == "complex":
-            assert len(calls) == k1  # a complex step stops at its first sample
-        else:
-            assert len(coords) > 1 and len(calls) > k1
+        assert len(calls) == k1  # a complex step stops at its first sample
+
+    def test_fitting_window_reads_every_sample(self):
+        # The rows per sample after the first predict that all ten samples
+        # fit in 2 MAX_KRYLOV_DIM real rows: one basis reads them all,
+        # growing past 2 k1 rows, and no row past the last used is written.
+        v, matvec, k1 = self.start_and_k1()
+        V = np.full((2 * MAX_KRYLOV_DIM, v.size), np.nan)
+        counted, calls = counting(matvec)
+        coords, err = _lanczos_step(counted, v, self.DTS, self.BUDGETS, V)
+        assert len(coords) == len(self.DTS) and err <= self.BUDGETS[-1]
+        assert 2 * k1 < len(calls) < len(V)
+        assert np.isnan(V[len(calls):]).all()
+
+    def test_window_that_does_not_fit_stops_at_2k1(self):
+        # The same window is predicted not to fit in 48 rows, so the step
+        # keeps to the bytes of k1 complex rows: 2 k1 real rows.
+        v, matvec, k1 = self.start_and_k1()
+        V = np.full((48, v.size), np.nan)
+        counted, calls = counting(matvec)
+        coords, _ = _lanczos_step(counted, v, self.DTS, self.BUDGETS, V)
+        assert len(calls) == 2 * k1 < len(V)
+        assert 1 < len(coords) < len(self.DTS)
+        assert np.isnan(V[len(calls):]).all()
+
+    def test_first_sample_must_pass_within_reach(self):
+        v, matvec, k1 = self.start_and_k1()
+        V = np.empty((2 * MAX_KRYLOV_DIM, v.size))
+        counted, calls = counting(matvec)
+        coords, err = _lanczos_step(counted, v, self.DTS, self.BUDGETS, V, k1 - 1)
+        assert coords is None and err > self.BUDGETS[0]
+        assert len(calls) == k1 - 1
 
 
 def symmetric_chain(spacings_um, top_mode_mhz, delta_khz=-60.0):
