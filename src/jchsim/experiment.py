@@ -17,14 +17,14 @@ algorithm runs or how it is tuned.  A run whose chain and initial state
 are mirror-symmetric (to within a share of krylov_tol, see
 _evolves_even) builds and evolves only the mirror-even sector, about
 half the states; its artifacts are those of the full sector.  A scan
-evolves its detunings in groups, each group as one block-diagonal
-system, and writes one sub-run directory per detuning; a single run is a
-scan of one detuning written into the output directory itself.  An
-output path that cannot become a directory is refused before any work,
-and the output directory is made only once the run has results, so a run
-that fails before then leaves none.  This module is the only one that
-knows the artifact formats (svgplot draws the plot) or writes files, and
-it writes each file atomically (temp + rename).
+evolves each detuning on its own and writes one sub-run directory per
+detuning; a single run is a scan of one detuning written into the output
+directory itself.  An output path that cannot become a directory is
+refused before any work, and the output directory is made only once the
+run has results, so a run that fails before then leaves none.  This
+module is the only one that knows the artifact formats (svgplot draws
+the plot) or writes files, and it writes each file atomically (temp +
+rename).
 """
 
 import csv
@@ -66,13 +66,6 @@ from .ion_chain import (
 )
 from .propagator import EvolutionRequest, evolve
 
-# Largest joint dimension of the scan detunings evolved as one
-# block-diagonal Krylov system.  Joint evolution pays where per-call
-# overhead dominates: measured on fig3a-like scans (15 kHz steps),
-# 13 x 192 rows took 0.31x the serial time and 2 x 1002 rows 0.86x, but
-# 2 x 1666 took 1.08x and 2 x 2364 1.58x.  Larger groups of small sectors
-# gain less as their detuning spread grows (21 x 192: 0.82x).
-JOINT_DIMENSION = 2500
 # Share of krylov_tol that replacing H by its mirror-symmetrized part may
 # cost a run evolved in the mirror-even sector (see _evolves_even).
 MIRROR_SHARE = 0.01
@@ -413,11 +406,11 @@ def run(config_path, output_dir=None):
     output_dir defaults to out/<config file name without extension>.  A
     config without delta_scan_kHz runs as a scan of its one detuning
     whose sub-run is the output directory itself.  A scan writes one
-    sub-run per detuning, then the heat-map scan.csv.  Its detunings are
-    evolved in scan-order groups of at most JOINT_DIMENSION joint rows;
-    a group's sub-runs are written once the whole group has evolved.
-    The evolution runs in the mirror-even sector when _evolves_even
-    allows it, and on the full sector otherwise.  A run that rounding
+    sub-run per detuning, then the heat-map scan.csv.  Each detuning is
+    built, evolved and written on its own, in scan order, so a sub-run
+    is byte-identical to a single run of its detuning on the same
+    sector.  The evolution runs in the mirror-even sector when
+    _evolves_even allows it, and on the full sector otherwise.  A run that rounding
     alone could put outside krylov_tol is refused before enumeration.
     """
     cfg = parse_config(config_path)
@@ -450,17 +443,11 @@ def run(config_path, output_dir=None):
     except SectorCapError as exc:
         raise InfeasibleError(str(exc)) from exc
     runs = []  # (delta_kHz, TimeSeries) per sub-run, in scan order
-    size = max(1, JOINT_DIMENSION // basis.dimension)
-    for start in range(0, len(deltas), size):
-        chunk = deltas[start : start + size]
-        group = params[start : start + size]
-        hamiltonians = [build_hamiltonian(p, basis) for p in group]
-        for delta_khz, p, series in zip(
-            chunk, group, evolve(hamiltonians, req, basis)
-        ):
-            sub = os.path.join(out, _scan_subdir(delta_khz)) if scan else out
-            _write_artifacts(model, p, series, sub)
-            runs.append((delta_khz, series))
+    for delta_khz, p in zip(deltas, params):
+        series = evolve(build_hamiltonian(p, basis), req, basis)
+        sub = os.path.join(out, _scan_subdir(delta_khz)) if scan else out
+        _write_artifacts(model, p, series, sub)
+        runs.append((delta_khz, series))
     if scan:
         _atomic_write(os.path.join(out, "scan.csv"), _scan_csv(cfg, runs))
     return out

@@ -9,13 +9,14 @@ estimates a loss of orthogonality above min(step budget, sqrt(eps))),
 and works in the arithmetic of its start vector: the real initial state
 gets a real basis, one real sparse product per matvec, and a complex
 matvec is two contiguous real products.  A real step whose whole window
-is predicted to fit its buffer reads it all off one basis.  Only
-observables are kept.
+is predicted to fit its buffer reads it all off one basis.  On a sector
+of at most SPAN_DIMENSION states, evolve's buffer has D + 1 rows: the
+first step then grows until breakdown, where T's eigendecomposition is
+exact on the initial state's cyclic subspace, and reads every sample off
+that one basis.  Only observables are kept.
 A constant shift of H changes neither the Krylov space nor the error
 estimate, only a phase no observable sees: propagate_krylov
-exponentiates the matrix it is given, and the Hamiltonians of a detuning
-scan, evolved as one block-diagonal system, are each centred on their
-own mean diagonal.
+exponentiates the matrix it is given.
 """
 
 import math
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_basis import MirrorEvenBasis
-from .hamiltonian import SparseHamiltonian
 
 # Largest Krylov subspace of one Lanczos step, in complex rows; a real
 # basis holds twice the rows in the same bytes.  A step that does not
@@ -33,6 +33,15 @@ MAX_KRYLOV_DIM = 40
 # A Lanczos iteration computes its exact error estimate only when the
 # estimate's leading Taylor term is within this factor of the budget.
 SCREEN_FACTOR = 10.0
+# Largest sector whose evolution spans the initial state's cyclic subspace
+# with one real Lanczos basis of D + 1 rows, (D + 1) D 8 bytes: 2.9 MB at
+# D = 600.  Measured crossover, evolve best of 3 on fig4f's parameters cut
+# to N ions (201 samples over 1 ms), spanning against stepping, 2 vCPUs,
+# OpenBLAS 0.3.31 with OPENBLAS_NUM_THREADS unset (2 threads):
+#   D = 98: 0.02 / 0.24 s, 200: 0.04 / 0.26 s, 392: 0.11 / 0.32 s,
+#   578: 0.27 / 0.37 s, 800: 0.47 / 0.44 s.
+# With one BLAS thread the ratios move by at most 0.23 (1.33 at D = 800).
+SPAN_DIMENSION = 600
 
 
 class PropagationError(RuntimeError):
@@ -109,6 +118,15 @@ def _lanczos_step(matvec, v, dts, budgets, V, reach=None):
     each leading sample whose estimate passed, and err is the last one's
     estimate; or (None, best estimate) if the first sample did not pass.
 
+    A V with more rows than v has entries spans v's cyclic subspace: the
+    step ignores reach and grows until breakdown, or to V's last row, and
+    makes its one check there, with no screen.  In exact arithmetic
+    Lanczos breaks down within len(v) iterations, and T's
+    eigendecomposition is then exact on the cyclic subspace (Parlett,
+    The Symmetric Eigenvalue Problem, SIAM 1998, ch. 13), so the estimate
+    is 0 and every sample is read off that one eigendecomposition.  The
+    rest of this docstring is about a V of at most len(v) rows.
+
     Dense output: at each check, T's eigendecomposition is computed once
     and the next samples are read off it in turn, up to the first that
     fails its budget.  Once the first sample has passed at k1 rows, the
@@ -149,7 +167,8 @@ def _lanczos_step(matvec, v, dts, budgets, V, reach=None):
     eps = np.finfo(float).eps
     threshold = min(budgets[0], math.sqrt(eps))
     complex_bytes = np.dtype(complex).itemsize
-    reach = len(V) if reach is None else reach
+    spans = len(V) > v.size  # V can hold a basis of v's whole cyclic subspace
+    reach = len(V) if reach is None or spans else reach
     rows = reach  # set by the memory rule once a sample passes
     beta0 = np.linalg.norm(v)
     np.divide(v, beta0, out=V[0])
@@ -182,8 +201,8 @@ def _lanczos_step(matvec, v, dts, budgets, V, reach=None):
         n = len(coords)
         # u is a unit column, so |u[-1]| <= 1 caps the Taylor term.
         screen = tau * beta * min(lead, 1.0)
-        if happy or (k >= 1 and (k + 1 >= rows or fits
-                                 or screen <= SCREEN_FACTOR * budgets[n])):
+        if happy or (k >= 1 and (k + 1 >= rows or (not spans and (
+                fits or screen <= SCREEN_FACTOR * budgets[n])))):
             expm_col = _tridiag_expm_col(alphas[: k + 1], betas[1 : k + 1])
             while n < len(dts):
                 u = expm_col(dts[n])
@@ -277,15 +296,15 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
     imaginary part is all zeros, as the initial product state's is,
     starts a real step on the whole buffer, one real product per matvec:
     its first sample must pass within 2 m_max rows, and only a window
-    predicted to fit grows past them (see _lanczos_step).  v0 is read,
+    predicted to fit grows past them (see _lanczos_step).  A buffer of
+    more rows than v0 has entries spans instead: its first step grows
+    until breakdown and reads every sample off one basis.  v0 is read,
     never written, and is not copied when it is complex.
 
     tol is an error budget for the whole evolution, relative to the norm
     of v0; the state at each sample gets a share proportional to its time
-    relative to time_scale (defaults to the last |t_target|).  For a stacked
-    vector of B unit blocks, evolve passes krylov_tol / sqrt(B), so that
-    krylov_tol bounds the absolute error of the whole stacked vector.
-    Only h.matrix is read.
+    relative to time_scale (defaults to the last |t_target|).  Only
+    h.matrix is read.
     """
     offsets = np.atleast_1d(np.asarray(t_target, dtype=float))
     direction = -1.0 if offsets[-1] < 0 else 1.0
@@ -349,41 +368,36 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
         dt = 1.5 * dts[len(coords) - 1]  # gentle growth, kept across samples
 
 
+def _real_rows(basis):
+    """Rows of the real Krylov buffer evolve allocates on basis.
+
+    A sector of at most SPAN_DIMENSION states gets D + 1 rows, which
+    span the initial state's cyclic subspace.  A larger one gets the
+    bytes of MAX_KRYLOV_DIM complex rows plus those of what evolve does
+    not hold beside its basis: a float64 (D, N) sign table (N rows) and
+    two copies of the initial state (4 rows).  So its worst case is that
+    of a complex basis with those beside it, and only a real step whose
+    window is predicted to fit uses the rows past 2 MAX_KRYLOV_DIM.
+    """
+    if basis.dimension <= SPAN_DIMENSION:
+        return basis.dimension + 1
+    return 2 * MAX_KRYLOV_DIM + 4 + basis.n_ions
+
+
 def evolve(h, req, basis):
     """Sample per-ion <sigma_z> on a uniform grid under the Hamiltonian.
 
     All samples come from one propagate_krylov call, which hands each
-    state to the observables as it is formed.  h is one
-    SparseHamiltonian, or a list of them on the same basis (the detunings
-    of a scan), evolved together from the same initial state.  exp(-iHt)
-    of a block-diagonal H is the block-diagonal of the blocks'
-    exponentials, so the stacked state of all blocks is evolved in one
-    propagate_krylov pass.  Where the blocks are stacked, each is centred
-    on its own mean diagonal m_b, so the detunings' different means do
-    not widen the stacked spectrum; that multiplies block b only by
-    exp(i m_b t), a phase no sampled observable sees.  A single
-    Hamiltonian is evolved as it is.  basis is a SectorBasis or a
+    state to the observables as it is formed.  A sector of at most
+    SPAN_DIMENSION states gets a real buffer of D + 1 rows, so the first
+    Lanczos step spans the initial state's cyclic subspace and, at
+    breakdown, reads every sample off that one basis exactly.  A larger
+    sector is stepped through its samples.  basis is a SectorBasis or a
     MirrorEvenBasis; on the latter, h must be built on it and the initial
-    state must be even.  Returns one TimeSeries, or a list in the order of h.
+    state must be even.  Returns a TimeSeries.
     """
-    hs = h if isinstance(h, list) else [h]
-    blocks, dim = len(hs), basis.dimension
     v0 = prepare_initial_state(basis, req.excited_ions)
     times = np.linspace(0.0, req.total_time, req.samples)
-
-    if blocks == 1:
-        stacked, tol = hs[0], req.krylov_tol
-    else:
-        import scipy.sparse as sp  # loaded already by the blocks' build
-
-        centred = [x.matrix - np.mean(x.matrix.diagonal()) * sp.identity(dim)
-                   for x in hs]
-        stacked = SparseHamiltonian(sp.block_diag(centred, format="csr"), None, basis)
-        # The estimate is relative to the stacked norm sqrt(B), so this
-        # keeps the absolute error of the whole stacked vector, and so of
-        # each block, within krylov_tol.
-        tol = req.krylov_tol / math.sqrt(blocks)
-        v0 = np.tile(v0, blocks)
 
     # Only the current state and one copy of the initial state are held;
     # each sample's observables are read off the state as it is formed.
@@ -399,35 +413,21 @@ def evolve(h, req, basis):
     del signs
     m = basis.excitations
     totals = (basis.spins.sum(axis=1) + basis.occupations.sum(axis=1)).astype(float)
-    sz = np.empty((blocks, req.samples, basis.n_ions))
-    norm_drift = np.empty((blocks, req.samples))
-    exc_drift = np.empty((blocks, req.samples))
+    sz = np.empty((req.samples, basis.n_ions))
+    norm_drift = np.empty(req.samples)
+    exc_drift = np.empty(req.samples)
 
     def observe(k, v):
-        for b, vb in enumerate(v.reshape(blocks, dim)):
-            nrm = np.linalg.norm(vb)
-            norm_drift[b, k] = abs(nrm - 1.0)
-            probs = np.abs(vb)  # squared in place: no complex temporary
-            probs *= probs
-            probs /= nrm * nrm
-            sz[b, k] = np.add.reduceat(probs, runs) @ run_signs
-            exc_drift[b, k] = abs(float(probs @ totals) - m)
+        nrm = np.linalg.norm(v)
+        norm_drift[k] = abs(nrm - 1.0)
+        probs = np.abs(v)  # squared in place: no complex temporary
+        probs *= probs
+        probs /= nrm * nrm
+        sz[k] = np.add.reduceat(probs, runs) @ run_signs
+        exc_drift[k] = abs(float(probs @ totals) - m)
 
-    # Per stacked state, the real buffer holds the bytes of MAX_KRYLOV_DIM
-    # complex rows plus those of what this evolution does not hold beside
-    # its basis: a float64 (D, N) sign table (N / B rows), a copy of one
-    # block's initial state (2 / B rows) and one of the stacked state (2
-    # rows).  So its worst case is that of a complex basis with those
-    # beside it, and only a real step whose window is predicted to fit
-    # uses the rows past 2 MAX_KRYLOV_DIM.
-    real_rows = 2 * MAX_KRYLOV_DIM + 2 + (2 + basis.n_ions) // blocks
-    propagate_krylov(stacked, v0, times, tol, MAX_KRYLOV_DIM,
+    propagate_krylov(h, v0, times, req.krylov_tol, MAX_KRYLOV_DIM,
                      time_scale=req.total_time, observe=observe,
-                     real_rows=real_rows)
-
-    series = [
-        TimeSeries(times=times, sigma_z=sz[b], norm_drift=norm_drift[b],
-                   excitation_drift=exc_drift[b])
-        for b in range(blocks)
-    ]
-    return series if isinstance(h, list) else series[0]
+                     real_rows=_real_rows(basis))
+    return TimeSeries(times=times, sigma_z=sz, norm_drift=norm_drift,
+                      excitation_drift=exc_drift)

@@ -92,11 +92,11 @@ def record_lanczos_steps(monkeypatch):
 
 
 def sampled_states(h, req, basis):
-    """The states evolve samples for one Hamiltonian, one row per time.
+    """The states evolve samples, one row per time.
 
     One propagate_krylov call from prepare_initial_state through the
-    sample times with time_scale=total_time, as evolve makes for a single
-    Hamiltonian.
+    sample times with time_scale=total_time and evolve's real buffer, as
+    evolve makes.
     """
     states = np.empty((req.samples, basis.dimension), dtype=complex)
 
@@ -107,6 +107,7 @@ def sampled_states(h, req, basis):
         h, propagator.prepare_initial_state(basis, req.excited_ions),
         np.linspace(0.0, req.total_time, req.samples), req.krylov_tol,
         propagator.MAX_KRYLOV_DIM, time_scale=req.total_time, observe=keep,
+        real_rows=propagator._real_rows(basis),
     )
     return states
 

@@ -13,7 +13,6 @@ from jchsim import experiment, ion_chain
 from jchsim.cli import main
 from jchsim.constants import TWO_PI, khz, microseconds, to_khz
 from jchsim.experiment import (
-    JOINT_DIMENSION,
     ExperimentConfig,
     _scan_subdir,
     parse_config,
@@ -22,7 +21,7 @@ from jchsim.experiment import (
 )
 from jchsim.fock_basis import enumerate_sector, sector_dimension
 from jchsim.hamiltonian import build_hamiltonian
-from jchsim.propagator import EvolutionRequest, evolve
+from jchsim.propagator import SPAN_DIMENSION, EvolutionRequest, evolve
 
 from conftest import REPO_ROOT, dense_sigma_z, record_lanczos_steps
 
@@ -701,14 +700,26 @@ def per_detuning(cfg_path, solve):
 
 
 class TestJointScan:
-    """A scan's detunings are evolved together as one block-diagonal system."""
+    """A scan's sub-runs: each detuning is evolved on its own, and its
+    artifacts are those of a single run of that detuning."""
 
-    # Detunings spanning +-600 kHz: the joint first attempt at each sample
-    # interval exceeds MAX_KRYLOV_DIM, so the step halves.
+    # Detunings spanning +-600 kHz, which no longer share one Krylov step.
     WIDE = (
         "delta_scan_kHz = " + ",".join(str(d) for d in range(-600, 601, 100))
         + "\ntotal_time_us = 100\nsamples = 11"
     )
+    FILES = ("timeseries.csv", "params.txt", "plot.svg")
+
+    @staticmethod
+    def single_run(tmp_path, scan_cfg, delta):
+        """The output directory of a single run of the scan's detuning delta."""
+        lines = cfg_with(Path(scan_cfg).read_text(), f"delta_kHz = {delta:g}")
+        cfg = write(tmp_path / f"single{delta:g}.cfg",
+                    "\n".join(line for line in lines
+                              if not line.startswith("delta_scan_kHz")) + "\n")
+        out = tmp_path / f"single{delta:g}"
+        assert main(["simulate", cfg, "--output-dir", str(out)]) == 0
+        return out
 
     @pytest.mark.parametrize("override", ["", WIDE], ids=["fig3a_scan", "wide"])
     def test_matches_dense_and_serial(self, tmp_path, monkeypatch, config_dir,
@@ -717,26 +728,20 @@ class TestJointScan:
         out = tmp_path / "out"
         log = record_lanczos_steps(monkeypatch)
         assert main(["simulate", cfg, "--output-dir", str(out)]) == 0
-        joint = list(log)
+        steps = list(log)
         monkeypatch.undo()
         deltas = parse_config(cfg).delta_scan_khz
-        # the mirror-even sector of N = M = 4: 100 of the 192 states
-        assert {size for size, _, _ in joint} == {len(deltas) * 100}
-        if override:
-            assert not all(accepted for _, _, accepted in joint)
-            # The step length is kept across samples after a refusal: 29
-            # refusals and 3,171 matvecs, where restarting every sample at
-            # its whole interval made 50 and 4,030.
-            assert sum(not accepted for _, _, accepted in joint) <= 40
-            assert sum(calls for _, calls, _ in joint) <= 3500
+        # One accepted step per detuning on the mirror-even sector of
+        # N = M = 4 (100 of the 192 states), whose buffer spans it.
+        assert [(size, ok) for size, _, ok in steps] == [(100, True)] * len(deltas)
         dense = per_detuning(cfg, dense_sigma_z)
-        serial = per_detuning(cfg, evolve)
         for d in deltas:
-            rows = np.loadtxt(out / _scan_subdir(d) / "timeseries.csv",
-                              delimiter=",", skiprows=1)
-            sz = rows[:, 1:-2]
-            assert np.max(np.abs(sz - dense[d])) <= 1e-10
-            assert np.max(np.abs(sz - serial[d].sigma_z)) <= 1e-10
+            sub = out / _scan_subdir(d)
+            single = self.single_run(tmp_path, cfg, d)
+            for name in self.FILES:
+                assert (sub / name).read_bytes() == (single / name).read_bytes(), name
+            rows = np.loadtxt(sub / "timeseries.csv", delimiter=",", skiprows=1)
+            assert np.max(np.abs(rows[:, 1:-2] - dense[d])) <= 1e-10
             assert rows[:, -2].max() <= 1e-11  # norm drift
             assert rows[:, -1].max() <= 1e-11  # excitation drift
 
@@ -744,9 +749,9 @@ class TestJointScan:
         log = record_lanczos_steps(monkeypatch)
         cfg = os.path.join(config_dir, "fig3a_scan.cfg")
         assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 0
-        # 35,500 when each detuning is evolved alone, 3,900 when the blocks
-        # are stacked without centring each on its own mean diagonal
-        assert sum(calls for _, calls, _ in log) <= 3800
+        # D or D + 1 matvecs per detuning, D = 100: 1,304 in all, where
+        # stacking the 13 detunings as one block-diagonal system made 3,663
+        assert sum(calls for _, calls, _ in log) <= 1304
 
     def test_one_detuning_scan_matches_plain_run(self, tmp_path, config_dir):
         scan = scan_cfg_with(tmp_path, config_dir, "delta_scan_kHz = -45")
@@ -762,8 +767,8 @@ class TestJointScan:
         assert (a / "delta_-45kHz" / "timeseries.csv").read_bytes() == (
             b / "timeseries.csv").read_bytes()
 
-    def test_sector_beyond_group_evolves_alone(self, tmp_path, monkeypatch):
-        assert sector_dimension(6, 6) > JOINT_DIMENSION
+    def test_sector_above_span_dimension_matches_single_runs(self, tmp_path,
+                                                             monkeypatch):
         base = small_cfg_with(
             "n_ions = 6\nexcitations = 6\nspacings_um = 6,5.6,5.5,5.6,6\n"
             "total_time_us = 10\nsamples = 3"
@@ -772,16 +777,13 @@ class TestJointScan:
                      "\n".join(base + ["delta_scan_kHz = -30,10"]) + "\n")
         log = record_lanczos_steps(monkeypatch)
         assert main(["simulate", scan, "--output-dir", str(tmp_path / "scan")]) == 0
-        # the mirror-even sector: 2,687 of the 5,336 states
-        assert {size for size, _, _ in log} == {2687}
-        for d in ("-30", "10"):
-            single = write(tmp_path / f"{d}.cfg",
-                           "\n".join(cfg_with("\n".join(base), f"delta_kHz = {d}"))
-                           + "\n")
-            out = tmp_path / d
-            assert main(["simulate", single, "--output-dir", str(out)]) == 0
-            sub = tmp_path / "scan" / f"delta_{d}kHz"
-            for name in ("timeseries.csv", "params.txt", "plot.svg"):
+        monkeypatch.undo()
+        # the mirror-even sector: 2,687 of the 5,336 states, stepped
+        assert {size for size, _, _ in log} == {2687} and 2687 > SPAN_DIMENSION
+        for d in (-30, 10):
+            out = self.single_run(tmp_path, scan, d)
+            sub = tmp_path / "scan" / _scan_subdir(d)
+            for name in self.FILES:
                 assert (sub / name).read_bytes() == (out / name).read_bytes(), name
 
 

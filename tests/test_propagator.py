@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from jchsim import propagator
 from jchsim.constants import khz, mhz
 from jchsim.fock_basis import enumerate_sector
 from jchsim.hamiltonian import JchParameters, build_hamiltonian
@@ -15,6 +16,7 @@ from jchsim.ion_chain import (
 )
 from jchsim.propagator import (
     MAX_KRYLOV_DIM,
+    SPAN_DIMENSION,
     EvolutionRequest,
     _from_basis,
     _lanczos_step,
@@ -201,29 +203,6 @@ class TestEvolve:
         assert np.all(np.abs(series.sigma_z) <= 1.0 + 1e-8)
 
 
-class TestEvolveList:
-    """evolve on a list of Hamiltonians, one block per detuning."""
-
-    @staticmethod
-    def detuned(basis, h, delta_khz):
-        p = h.params
-        params = JchParameters(np.full(p.n_ions, khz(delta_khz)),
-                               p.local_frequencies, p.couplings, p.hoppings)
-        return build_hamiltonian(params, basis)
-
-    def test_blocks_match_single_evolutions(self):
-        basis, h = fig2a_model()
-        hs = [self.detuned(basis, h, d) for d in (-90.0, -60.0, 20.0)]
-        req = EvolutionRequest(total_time=5e-4, samples=26, excited_ions=[1, 2])
-        joint = evolve(hs, req, basis)
-        assert len(joint) == len(hs)
-        for x, series in zip(hs, joint):
-            alone = evolve(x, req, basis)
-            assert np.max(np.abs(series.sigma_z - alone.sigma_z)) <= 1e-10
-            assert np.max(np.abs(series.sigma_z
-                                 - dense_sigma_z(x, req, basis))) <= 1e-10
-
-
 def plain_matvec(h):
     """The operator propagate_krylov exponentiates: H itself."""
     return lambda x: h.matrix @ x
@@ -389,8 +368,10 @@ class TestLanczosStep:
             assert max_overlap(np.array(plain)) > threshold
 
     # every size up to 3 * MAX_KRYLOV_DIM, past the rows of the real basis
-    # of evolve (2 MAX_KRYLOV_DIM + N + 4) up to N = 36 ions
-    @pytest.mark.parametrize("size", range(1, 3 * MAX_KRYLOV_DIM + 1))
+    # of evolve on a stepped sector (2 MAX_KRYLOV_DIM + N + 4) up to N = 36
+    # ions, and the most rows of a spanning basis, SPAN_DIMENSION + 1
+    @pytest.mark.parametrize("size", [*range(1, 3 * MAX_KRYLOV_DIM + 1),
+                                      SPAN_DIMENSION + 1])
     def test_tridiag_expm_col_matches_expm(self, size):
         rng = np.random.default_rng(size)
         alphas = rng.uniform(-1.0, 1.0, size)
@@ -502,6 +483,63 @@ class TestDenseOutput:
         coords, err = _lanczos_step(counted, v, self.DTS, self.BUDGETS, V, k1 - 1)
         assert coords is None and err > self.BUDGETS[0]
         assert len(calls) == k1 - 1
+
+
+class TestSpanningBuffer:
+    """A Krylov buffer with more rows than D.
+
+    The step grows until breakdown, or to its last row, and makes one
+    check there: 101 samples over 1 ms from the all-excited state, each
+    with the budget krylov_tol * t / T that propagate_krylov gives it.
+    """
+
+    TOL = 1e-9
+    TIMES = np.linspace(0.0, 1e-3, 101)
+
+    @pytest.mark.parametrize("model", [fig2a_model, band_edge_model])
+    def test_one_eigendecomposition_reads_every_sample(self, model, monkeypatch):
+        basis, h = model()
+        dim = basis.dimension
+        eigs = []
+        expm_col = propagator._tridiag_expm_col
+        monkeypatch.setattr(propagator, "_tridiag_expm_col",
+                            lambda *args: eigs.append(1) or expm_col(*args))
+        dts = self.TIMES[1:]
+        for v in starts(prepare_initial_state(basis, range(1, basis.n_ions + 1))):
+            eigs.clear()
+            V = np.empty((dim + 1, dim), dtype=v.dtype)
+            counted, calls = counting(plain_matvec(h))
+            coords, err = _lanczos_step(counted, v, dts,
+                                        self.TOL * dts / dts[-1], V)
+            assert len(coords) == len(dts) and err == 0.0
+            assert len(eigs) == 1 and len(calls) <= dim + 1
+
+    @pytest.mark.parametrize("model", [fig2a_model, band_edge_model])
+    def test_matches_dense_states_within_shares(self, model):
+        basis, h = model()
+        assert basis.dimension <= SPAN_DIMENSION
+        req = EvolutionRequest(total_time=self.TIMES[-1], samples=len(self.TIMES),
+                               excited_ions=range(1, basis.n_ions + 1),
+                               krylov_tol=self.TOL)
+        errors = np.linalg.norm(sampled_states(h, req, basis)
+                                - dense_states(h, req, basis), axis=1)
+        # from the first step on: sample 0 is the initial state itself
+        shares = self.TOL * self.TIMES / self.TIMES[-1]
+        assert np.all(errors[1:] <= shares[1:])
+
+    @pytest.mark.parametrize("rows,matvecs,samples", [
+        (48, 36, 5), (80, 51, 10), (192, 51, 10), (193, 192, 10),
+    ])
+    def test_only_more_rows_than_d_span(self, rows, matvecs, samples):
+        # band_edge_model, D = 192, on TestDenseOutput's window: a buffer of
+        # at most D rows keeps the stepping path's rows and matvecs, and
+        # one more row spans the whole sector.
+        basis, h = band_edge_model()
+        v = starts(prepare_initial_state(basis, [1, 2, 3, 4]))[0]
+        counted, calls = counting(plain_matvec(h))
+        coords, _ = _lanczos_step(counted, v, TestDenseOutput.DTS,
+                                  TestDenseOutput.BUDGETS, np.empty((rows, v.size)))
+        assert (len(calls), len(coords)) == (matvecs, samples)
 
 
 def symmetric_chain(spacings_um, top_mode_mhz, delta_khz=-60.0):
