@@ -9,6 +9,10 @@ from the per-ion JchParameters of one detuning, by one builder that
 reads either basis alike.  In either basis every matrix element is
 real, so the matrix is stored as a real symmetric CSR, assembled from
 the raising moves alone: no lowering move reaches its upper triangle.
+A sector of at most SPAN_DIMENSION states, whose evolution makes at
+most D + 1 products, is assembled in numpy as a NumpyCSR, so that it
+loads no SciPy; a larger one as a scipy CSR.  The two are bitwise
+equal.
 norm_bound bounds the norm of H, and mirror_asymmetry how far H is
 from commuting with the ion reversal, which decides whether the even
 sector may stand in for the full one.  This module builds only H:
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_basis import MirrorEvenBasis
+from .propagator import SPAN_DIMENSION
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,46 @@ class SparseHamiltonian:
     """Real symmetric sparse operator on a sector basis."""
 
     def __init__(self, matrix, params, basis):
-        self.matrix = matrix  # scipy CSR, float64
+        self.matrix = matrix  # NumpyCSR or scipy CSR, float64
         self.params = params
         self.basis = basis
+
+
+class NumpyCSR:
+    """Real CSR matrix held in numpy arrays, as built for a sector of at
+    most SPAN_DIMENSION states.
+
+    data, indices, indptr, shape and nnz are those of scipy's CSR, and the
+    arrays equal, bitwise and in dtype, those scipy builds from the same
+    triplets (CSR as in Saad, Iterative Methods for Sparse Linear Systems,
+    2nd ed., SIAM 2003, sec. 3.4).  Its one operation is the product with
+    a real vector, which sums each row in index order, as scipy's
+    csr_matvec does, so the two products are bitwise equal too.
+    """
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = shape
+        self.nnz = data.size
+        self._rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+
+    @classmethod
+    def from_triplets(cls, dim, r, c, v):
+        """The D x D CSR of COO triplets, repeated (row, col) entries
+        summed and zeros dropped, as scipy's conversion and
+        eliminate_zeros make it."""
+        order = np.lexsort((c, r))
+        r, c, v = r[order], c[order], v[order]
+        starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+        v = np.add.reduceat(v, starts)
+        keep = v != 0.0
+        r, c, v = r[starts][keep], c[starts][keep], v[keep]
+        indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=dim))].astype(r.dtype)
+        return cls(v, c, indptr, (dim, dim))
+
+    def __matmul__(self, x):
+        return np.bincount(self._rows, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
 
 
 def _mirror_pairs(params):
@@ -171,16 +213,11 @@ def _index_dtype(dim):
     return np.int32 if dim <= np.iinfo(np.int32).max else np.int64
 
 
-def _csr(dim, upper, diag):
-    """Real symmetric CSR from one triangle's entries and the diagonal.
+def _triplets(dim, upper, diag):
+    """COO triplets (rows, cols, vals) of both triangles and the diagonal.
 
-    upper holds the (rows, cols, vals) arrays of the triangle, and is
-    emptied, so that they are freed as they are consumed.  Both
-    triangles and the diagonal go through one COO -> CSR conversion,
-    which sums repeated (row, col) entries.  A repeat has two terms at
-    most, so its sum is the same in either triangle and the matrix stays
-    bitwise symmetric.  Zeros are dropped, as CSR addition would drop
-    them.
+    upper holds the (rows, cols, vals) arrays of one triangle, and is
+    emptied, so that they are freed as they are consumed.
     """
     rows, cols, vals = upper
     upper.clear()
@@ -189,8 +226,24 @@ def _csr(dim, upper, diag):
     c = np.concatenate([cols, rows, on_diag])
     del rows, cols, on_diag
     v = np.concatenate([vals, vals, diag])
-    del vals, diag
-    # Imported here, so that only a Hamiltonian build loads scipy.sparse.
+    return r, c, v
+
+
+def _csr(dim, upper, diag):
+    """Real symmetric CSR from one triangle's entries and the diagonal.
+
+    Both triangles and the diagonal go through one COO -> CSR
+    conversion, which sums repeated (row, col) entries.  A repeat has two
+    terms at most, so its sum is the same in either triangle, and in
+    either order, and the matrix stays bitwise symmetric.  Zeros are
+    dropped, as CSR addition would drop them.  A sector of at most
+    SPAN_DIMENSION states gets a NumpyCSR; a larger one a scipy CSR.
+    """
+    r, c, v = _triplets(dim, upper, diag)
+    if dim <= SPAN_DIMENSION:
+        return NumpyCSR.from_triplets(dim, r, c, v)
+    # Imported here, so that only a build above SPAN_DIMENSION loads
+    # scipy.sparse.
     import scipy.sparse as sp
 
     h = sp.csr_matrix((v, (r, c)), shape=(dim, dim))

@@ -41,6 +41,10 @@ SCREEN_FACTOR = 10.0
 #   D = 98: 0.02 / 0.24 s, 200: 0.04 / 0.26 s, 392: 0.11 / 0.32 s,
 #   578: 0.27 / 0.37 s, 800: 0.47 / 0.44 s.
 # With one BLAS thread the ratios move by at most 0.23 (1.33 at D = 800).
+# hamiltonian also reads it: a sector of at most this size is built as a
+# NumpyCSR, as its at most D + 1 products, at about 8 ns per stored
+# element against scipy's 1.6 ns (D = 410, 8,700 elements), cost at most
+# about 0.06 s, less than the 0.14-0.2 s import of scipy.sparse.
 SPAN_DIMENSION = 600
 
 
@@ -260,7 +264,10 @@ def _tridiag_expm_col(alphas, offdiag):
     # import of scipy.linalg (2-vCPU host), which simulate does not load.
     # eigh reads only the lower triangle.
     evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(offdiag, -1))
-    first = evecs[0]
+    first = evecs[0].copy()  # so the real evecs are freed
+    # evecs @ (complex vector) would cast evecs to a complex copy on every
+    # call; this is the same copy, made once, so the products are unchanged.
+    evecs = evecs.astype(complex)
     return lambda dt: evecs @ (np.exp(-1j * dt * evals) * first)
 
 

@@ -20,6 +20,7 @@ from conftest import (
     dense_states,
     record_lanczos_steps,
     sampled_states,
+    scipy_csr,
 )
 
 
@@ -200,7 +201,7 @@ def test_07_conservation_suite():
     ok = series.norm_drift.max() < 1e-9
     ok &= series.excitation_drift.max() < 1e-9
     energies = np.array(
-        [np.real(np.vdot(v, h.matrix @ v)) for v in sampled_states(h, req, basis)]
+        [np.real(np.vdot(v, scipy_csr(h.matrix) @ v)) for v in sampled_states(h, req, basis)]
     )
     ok &= np.max(np.abs(energies - energies[0])) < 1e-8 * abs(energies[0])
 

@@ -2,9 +2,10 @@
 
 bench/launch.py patches the names listed in its TRACED and SETUP_BOUNDARY
 tables, and wraps propagator._lanczos_step and propagate_krylov to count
-matvecs.  bench/checks.py wraps its own CSR matrix in SparseHamiltonian
-and calls propagate_krylov positionally.  A refactor that moves or
-reshapes one of them would otherwise only fail in a benchmark run.
+matvecs; it reads the CSR arrays of each built Hamiltonian's matrix.
+bench/checks.py wraps its own scipy CSR matrix in SparseHamiltonian and
+calls propagate_krylov positionally.  A refactor that moves or reshapes
+one of them would otherwise only fail in a benchmark run.
 """
 
 import importlib
@@ -14,6 +15,8 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+
+from conftest import scipy_csr
 
 LAUNCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "launch.py"
@@ -63,7 +66,7 @@ def test_checks_krylov_call_runs():
         hoppings=hop,
     )
     basis = enumerate_sector(3, 2)
-    matrix = build_hamiltonian(params, basis).matrix
+    matrix = scipy_csr(build_hamiltonian(params, basis).matrix)
     v0 = np.zeros(basis.dimension, dtype=complex)
     v0[0] = 1.0
     v = propagate_krylov(SparseHamiltonian(matrix, None, None), v0, 6e-6, 1e-9, 40,
@@ -72,3 +75,30 @@ def test_checks_krylov_call_runs():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
     exact = scipy.linalg.expm(-6e-6j * matrix.toarray()) @ v0
     assert np.max(np.abs(v - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 6], ids=["numpy-csr", "scipy-csr"])
+def test_built_matrix_exposes_what_launch_reads(n):
+    # launch._observe reads nnz and the bytes of the three CSR arrays off
+    # every built matrix, and _count_matvecs its row count, on either side
+    # of SPAN_DIMENSION: the even N = M = 4 and 6 sectors hold 100 and
+    # 2,687 states.
+    from jchsim.constants import khz
+    from jchsim.fock_basis import enumerate_sector
+    from jchsim.hamiltonian import JchParameters, build_hamiltonian
+    from jchsim.propagator import SPAN_DIMENSION
+
+    params = JchParameters(
+        detunings=np.full(n, khz(-20.0)),
+        local_frequencies=np.full(n, khz(-10.0)),
+        couplings=np.full(n, khz(11.5)),
+        hoppings=khz(-4.0) * (np.ones((n, n)) - np.eye(n)),
+    )
+    basis = enumerate_sector(n, n, mirror_even=True)
+    assert (basis.dimension <= SPAN_DIMENSION) == (n == 4)
+    matrix = build_hamiltonian(params, basis).matrix
+    reference = scipy_csr(matrix)
+    assert matrix.shape == (basis.dimension, basis.dimension)
+    assert matrix.nnz == reference.nnz == len(matrix.data) > basis.dimension
+    csr = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert csr == 12 * matrix.nnz + 4 * (basis.dimension + 1)

@@ -484,16 +484,23 @@ sys.exit(code)
 
 
 @pytest.mark.parametrize("argv, sparse", [
-    (["simulate", "{cfg}", "--output-dir", "{out}"], True),
+    (["simulate", "{cfg}", "--output-dir", "{out}"], False),
+    (["simulate", "{large_cfg}", "--output-dir", "{out}"], True),
     (["dimension", "8", "8"], False),
     (["calibrate", "--spectrum", "{spectrum}"], False),
     (["calibrate", "--rabi", "{rabi}"], False),
-], ids=["simulate", "dimension", "calibrate", "calibrate-rabi"])
+], ids=["simulate", "simulate-above-span-dimension", "dimension", "calibrate",
+        "calibrate-rabi"])
 def test_scipy_modules_each_subcommand_loads(tmp_path, argv, sparse):
-    """Only a Hamiltonian build loads SciPy, and then only scipy.sparse:
-    each import costs a cold process tenths of a second."""
+    """Only a Hamiltonian build above SPAN_DIMENSION loads SciPy, and then
+    only scipy.sparse: each import costs a cold process tenths of a
+    second.  SMALL_CFG (N = M = 2) lies far below it, and large_cfg
+    evolves a mirror-even sector of 2,687 states."""
+    large = small_cfg_with("n_ions = 6\nexcitations = 6\nspacings_um = 6,5.6,5.5,5.6,6\n"
+                           "total_time_us = 10\nsamples = 3")
     paths = {
         "cfg": write(tmp_path / "run.cfg", SMALL_CFG),
+        "large_cfg": write(tmp_path / "large.cfg", "\n".join(large) + "\n"),
         "out": str(tmp_path / "out"),
         "spectrum": os.path.join(REPO_ROOT, "bench", "inputs", "spectrum_4.csv"),
         "rabi": write(tmp_path / "rabi.csv",

@@ -1,17 +1,24 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from jchsim import hamiltonian
 from jchsim.constants import khz
-from jchsim.fock_basis import enumerate_sector
+from jchsim.experiment import parse_config, resolve_model, with_detuning
+from jchsim.fock_basis import enumerate_sector, sector_dimension
 from jchsim.hamiltonian import (
     JchParameters,
+    NumpyCSR,
     build_hamiltonian,
     mirror_asymmetry,
     norm_bound,
 )
-from jchsim.propagator import EvolutionRequest, evolve
+from jchsim.propagator import SPAN_DIMENSION, EvolutionRequest, evolve
+
+from conftest import CONFIG_DIR, scipy_csr
 
 
 def uniform_params(n, delta, omega, g, t_nn, decay=True):
@@ -123,7 +130,7 @@ class TestBuildHamiltonian:
         delta = khz(20.0)
         g = khz(5.0)
         params = JchParameters([delta], [delta], [g], [[0.0]])
-        h = build_hamiltonian(params, basis).matrix.toarray()
+        h = scipy_csr(build_hamiltonian(params, basis).matrix).toarray()
         # ordering: |down;1> then |up;0>
         expected = np.array([[delta - delta / 2, g], [g, delta / 2]])
         assert h == pytest.approx(expected)
@@ -140,7 +147,7 @@ class TestBuildHamiltonian:
             hoppings=[[0, t12], [t12, 0]],
         )
         h = build_hamiltonian(params, basis)
-        dense = h.matrix.toarray()
+        dense = scipy_csr(h.matrix).toarray()
         index = state_index(basis)
         i_ph1 = index[(False, False), (1, 0)]
         i_ph2 = index[(False, False), (0, 1)]
@@ -163,7 +170,7 @@ class TestBuildHamiltonian:
             hoppings=np.zeros((3, 3)),
         )
         h = build_hamiltonian(params, basis)
-        dense = h.matrix.toarray()
+        dense = scipy_csr(h.matrix).toarray()
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
         for j in range(len(basis)):
             energy = 0.0
@@ -180,7 +187,7 @@ class TestBuildHamiltonian:
         params = random_params(n, 100 * n + m)
         basis = enumerate_sector(n, m)
         expected = per_state_matrix(params, basis)
-        dense = build_hamiltonian(params, basis).matrix.toarray()
+        dense = scipy_csr(build_hamiltonian(params, basis).matrix).toarray()
         assert np.array_equal(dense != 0.0, expected != 0.0)
         scale = np.abs(expected).max()
         assert np.abs(dense - expected).max() <= 1e-14 * scale
@@ -243,7 +250,7 @@ class TestBuildHamiltonian:
         basis = enumerate_sector(3, 3)
         params = uniform_params(3, khz(5), khz(-3), khz(2), khz(1))
         h = build_hamiltonian(params, basis)
-        coo = h.matrix.tocoo()
+        coo = scipy_csr(h.matrix).tocoo()
         excitations = basis.spins.sum(axis=1) + basis.occupations.sum(axis=1)
         for r, c in zip(coo.row, coo.col):
             assert excitations[r] == excitations[c]
@@ -283,7 +290,7 @@ class TestBuildHamiltonian:
             hoppings=params.hoppings,
         )
         h2 = build_hamiltonian(shifted, basis)
-        diff = (h2.matrix - h.matrix).toarray()
+        diff = (scipy_csr(h2.matrix) - scipy_csr(h.matrix)).toarray()
         # shifting both detunings and mode frequencies by c adds
         # (c/2) sum(sigma_z) + c sum(n) = c (M - N/2) in the sector
         expected = c * (m - n / 2) * np.eye(len(basis))
@@ -295,7 +302,7 @@ class TestApply:
         basis = enumerate_sector(2, 2)
         params = uniform_params(2, khz(5), khz(-3), khz(2), khz(1))
         h = build_hamiltonian(params, basis)
-        assert np.all(h.matrix @ np.zeros(len(basis), dtype=complex) == 0)
+        assert np.all(scipy_csr(h.matrix) @ np.zeros(len(basis), dtype=complex) == 0)
 
     def test_quadratic_form_real(self):
         basis = enumerate_sector(3, 2)
@@ -303,8 +310,8 @@ class TestApply:
         h = build_hamiltonian(params, basis)
         for seed in range(5):
             v = random_state(len(basis), seed)
-            q = np.vdot(v, h.matrix @ v)
-            scale = np.abs(h.matrix).sum(axis=1).max()
+            q = np.vdot(v, scipy_csr(h.matrix) @ v)
+            scale = np.abs(scipy_csr(h.matrix)).sum(axis=1).max()
             assert abs(q.imag) < 1e-12 * scale
 
     def test_hermiticity_random_vectors(self):
@@ -315,18 +322,89 @@ class TestApply:
         for _ in range(5):
             u = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             v = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            lhs = np.vdot(u, h.matrix @ v)
-            rhs = np.vdot(h.matrix @ u, v)
+            lhs = np.vdot(u, scipy_csr(h.matrix) @ v)
+            rhs = np.vdot(scipy_csr(h.matrix) @ u, v)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_matches_dense_product(self):
         basis = enumerate_sector(4, 2)  # D = 32 <= 200
         params = uniform_params(4, khz(5), khz(-3), khz(2), khz(1))
         h = build_hamiltonian(params, basis)
-        dense = h.matrix.toarray()
+        dense = scipy_csr(h.matrix).toarray()
         for seed in range(3):
             v = random_state(len(basis), seed)
-            assert h.matrix @ v == pytest.approx(dense @ v, rel=1e-12)
+            assert scipy_csr(h.matrix) @ v == pytest.approx(dense @ v, rel=1e-12)
+
+
+def bits(x):
+    return x.dtype, x.tobytes()
+
+
+def small_sector_configs():
+    """Shipped configs with a sector, full or mirror-even, of at most
+    SPAN_DIMENSION states: an even sector holds at least half the full
+    one's."""
+    names = []
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        if name.endswith(".cfg"):
+            cfg = parse_config(os.path.join(CONFIG_DIR, name))
+            if sector_dimension(cfg.n_ions, cfg.excitations) <= 2 * SPAN_DIMENSION:
+                names.append(name)
+    return names
+
+
+class TestNumpyCSR:
+    """A sector of at most SPAN_DIMENSION states is built as a NumpyCSR,
+    which must equal, bit for bit, the scipy CSR built above it."""
+
+    @staticmethod
+    def assert_bitwise_equal(got, want, rng):
+        assert isinstance(got, NumpyCSR)
+        assert isinstance(want, scipy.sparse.csr_matrix)
+        assert got.shape == want.shape and got.nnz == want.nnz
+        for name in ("data", "indices", "indptr"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        # a real vector, and the strided halves of a complex one, as
+        # propagate_krylov's matvec splits it
+        z = rng.standard_normal(got.shape[0]) + 1j * rng.standard_normal(got.shape[0])
+        for x in (rng.standard_normal(got.shape[0]), z.real, z.imag):
+            assert bits(got @ x) == bits(want @ x)
+
+    def test_from_triplets_sums_repeats_and_drops_zeros(self):
+        rng = np.random.default_rng(5)
+        dim = 50
+        pairs = rng.choice(dim * dim, 300, replace=False).astype(np.int32)
+        r, c = pairs // dim, pairs % dim
+        v = rng.standard_normal(300)
+        # each repeat of a (row, col) pair has two terms, some summing to 0
+        r, c = np.r_[r, r[:100]], np.r_[c, c[:100]]
+        v = np.r_[v, rng.standard_normal(50), -v[50:100]]
+        got = NumpyCSR.from_triplets(dim, r, c, v)
+        want = scipy.sparse.csr_matrix((v, (r, c)), shape=(dim, dim))
+        want.eliminate_zeros()
+        assert want.nnz == 250
+        self.assert_bitwise_equal(got, want, rng)
+
+    @pytest.mark.parametrize("name", small_sector_configs())
+    def test_shipped_sectors_match_scipy_build(self, name, monkeypatch):
+        cfg = parse_config(os.path.join(CONFIG_DIR, name))
+        model = resolve_model(cfg)
+        rng = np.random.default_rng(0)
+        sectors = 0
+        for even in (False, True):
+            basis = enumerate_sector(cfg.n_ions, cfg.excitations, mirror_even=even)
+            if basis.dimension > SPAN_DIMENSION:
+                continue
+            sectors += 1
+            for delta in cfg.delta_scan_khz or [cfg.delta_khz]:
+                params = with_detuning(model, delta)
+                got = build_hamiltonian(params, basis).matrix
+                # the scipy CSR of the same triplets: csr_matrix((v, (r, c)))
+                with monkeypatch.context() as m:
+                    m.setattr(hamiltonian, "SPAN_DIMENSION", 0)
+                    want = build_hamiltonian(params, basis).matrix
+                self.assert_bitwise_equal(got, want, rng)
+        assert sectors
 
 
 class TestObservables:
@@ -395,10 +473,10 @@ class TestMirrorEven:
         assert np.abs(perm @ h @ perm.T - h).max() <= 1e-15 * scale
         expected = q.T @ h @ q
         even = build_hamiltonian(params, enumerate_sector(n, m, mirror_even=True))
-        got = even.matrix.toarray()
+        got = scipy_csr(even.matrix).toarray()
         assert np.abs(got - expected).max() <= 1e-14 * scale
         assert np.array_equal(got, got.T)  # bitwise symmetric
-        assert even.matrix.has_canonical_format
+        assert scipy_csr(even.matrix).has_canonical_format
         assert np.all(even.matrix.data != 0.0)
 
     def test_asymmetric_parameters_are_symmetrized(self):
@@ -407,7 +485,8 @@ class TestMirrorEven:
         perm, q = mirror_matrices(full)
         h = per_state_matrix(params, full)
         expected = q.T @ (0.5 * (h + perm @ h @ perm.T)) @ q
-        got = build_hamiltonian(params, enumerate_sector(4, 3, mirror_even=True)).matrix.toarray()
+        got = scipy_csr(build_hamiltonian(
+            params, enumerate_sector(4, 3, mirror_even=True)).matrix).toarray()
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
         assert np.array_equal(got, got.T)
 

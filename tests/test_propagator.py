@@ -26,7 +26,7 @@ from jchsim.propagator import (
     propagate_krylov,
 )
 
-from conftest import dense_sigma_z, dense_states, sampled_states
+from conftest import dense_sigma_z, dense_states, sampled_states, scipy_csr
 
 
 def single_site(g, delta, omega):
@@ -155,7 +155,7 @@ class TestEvolve:
         assert series.norm_drift.max() < 1e-9
         assert series.excitation_drift.max() < 1e-9
         energies = [
-            np.real(np.vdot(v, h.matrix @ v))
+            np.real(np.vdot(v, scipy_csr(h.matrix) @ v))
             for v in sampled_states(h, req, basis)
         ]
         e0 = energies[0]
@@ -175,7 +175,7 @@ class TestEvolve:
         v0 = prepare_initial_state(basis, [1, 2, 3, 4])
         bare = types.SimpleNamespace(matrix=h.matrix)
         got = propagate_krylov(bare, v0, t, 1e-9, MAX_KRYLOV_DIM)
-        exact = scipy.linalg.expm(-1j * t * h.matrix.toarray()) @ v0
+        exact = scipy.linalg.expm(-1j * t * scipy_csr(h.matrix).toarray()) @ v0
         assert np.max(np.abs(got - exact)) < 1e-8
 
     def test_step_halving_convergence(self):
@@ -205,7 +205,8 @@ class TestEvolve:
 
 def plain_matvec(h):
     """The operator propagate_krylov exponentiates: H itself."""
-    return lambda x: h.matrix @ x
+    matrix = scipy_csr(h.matrix)
+    return lambda x: matrix @ x
 
 
 def unscreened_estimates(matvec, v, dt, m_max):
@@ -330,7 +331,7 @@ class TestLanczosStep:
         matvec = plain_matvec(h)
         for v in starts(prepare_initial_state(basis, [1, 2])):
             new_v, err = lanczos_step(matvec, v, 1e-3, 1e-300, self.M_MAX)
-            exact = scipy.linalg.expm(-1j * 1e-3 * h.matrix.toarray()) @ v
+            exact = scipy.linalg.expm(-1j * 1e-3 * scipy_csr(h.matrix).toarray()) @ v
             assert err == 0.0
             assert np.max(np.abs(new_v - exact)) < 1e-10
 
@@ -406,7 +407,7 @@ class TestDenseOutput:
         assert len(coords) >= 3
         assert err <= self.BUDGETS[len(coords) - 1]
         for dt, budget, u in zip(self.DTS, self.BUDGETS, coords):
-            exact = expm_multiply(-1j * dt * h.matrix, v)
+            exact = expm_multiply(-1j * dt * scipy_csr(h.matrix), v)
             assert np.linalg.norm(_from_basis(V, u) - exact) <= budget
 
     def test_every_sample_of_one_call_within_its_share(self):
@@ -421,7 +422,7 @@ class TestDenseOutput:
         assert [j for j, _ in got] == list(range(len(times)))
         assert np.array_equal(got[0][1], v0) and np.array_equal(got[-1][1], last)
         for (_, v), t in zip(got[1:], self.DTS):
-            exact = expm_multiply(-1j * t * h.matrix, v0)
+            exact = expm_multiply(-1j * t * scipy_csr(h.matrix), v0)
             assert np.linalg.norm(v - exact) <= self.TOL * t / times[-1]
 
     def start_and_k1(self):
@@ -644,7 +645,7 @@ class TestAccuracyLadder:
 
         v0 = prepare_initial_state(basis, range(1, basis.n_ions + 1))
         got = propagate_krylov(h, v0, t, TestAccuracyLadder.TOL, MAX_KRYLOV_DIM)
-        exact = expm_multiply(-1j * t * h.matrix, v0)
+        exact = expm_multiply(-1j * t * scipy_csr(h.matrix), v0)
         return np.linalg.norm(got - exact)
 
     @pytest.mark.parametrize("n,even,dimension", [
