@@ -111,8 +111,13 @@ def _cmd_calibrate(args):
     if args.spectrum:
         print(f"n_ions = {fit.geometry.n_ions}")
         print(f"transverse_MHz = {to_mhz(fit.trap.transverse_frequency):.6f}")
-        print(f"axial_kHz = {to_khz(fit.trap.axial_quadratic):.6f}")
-        print(f"quartic = {fit.trap.axial_quartic:.6g}")
+        # The fit's minimum is flat along (axial, quartic): from starts
+        # jittered by up to 1%, the dogleg, MINPACK's Levenberg-Marquardt
+        # and scipy's trf at 1e-15 spread by 5.4e-5 kHz and 5.8e-8 on
+        # bench/inputs/spectrum_4.csv (3.2e-6 kHz and 1.9e-9 on
+        # spectrum_20.csv), so both stop one digit above that spread.
+        print(f"axial_kHz = {to_khz(fit.trap.axial_quadratic):.4f}")
+        print(f"quartic = {fit.trap.axial_quartic:.7f}")
         spacings = ",".join(
             f"{to_microns(d):.4f}" for d in fit.geometry.spacings
         )

@@ -158,13 +158,14 @@ class SectorBasis:
 class MirrorEvenBasis:
     """The mirror-even subspace of a SectorBasis, one vector per orbit.
 
-    partner[j] is the full-sector index of state j reversed.  Orbit a
-    has the representative representatives[a], the smaller index of the
-    pair, and the even vector weights[a] * (|r> + |partner r>): weights
-    are 1/sqrt(2) for a pair and 1 for a state that is its own mirror
-    image, which is then counted once.  spins and occupations are the
-    representatives' rows, and indices() maps any in-sector state to its
-    orbit.  The full sector's own arrays are not kept.
+    orbit[j] is the orbit of full-sector state j.  Orbit a has a
+    representative r, the smaller full-sector index of the pair, and the
+    even vector weights[a] * (|r> + |partner r>), partner r being r
+    reversed: weights are 1/sqrt(2) for a pair and 1 for a state that is
+    its own mirror image, which is then counted once.  spins and
+    occupations are the representatives' rows, and indices() maps any
+    in-sector state to its orbit.  The full sector's own arrays, the
+    partners and the representatives' indices are not kept.
     """
 
     def __init__(self, full):
@@ -177,22 +178,19 @@ class MirrorEvenBasis:
         orbit = np.empty(dim, dtype=np.int64)
         orbit[reps] = np.arange(len(reps))
         orbit[partner[reps]] = orbit[reps]
-        self.partner = partner
-        self.representatives = reps
         self.orbit = orbit
         self.weights = np.where(partner[reps] == reps, 1.0, np.sqrt(0.5))
         self.spins = full.spins[reps]
         self.occupations = full.occupations[reps]
-        for array in (partner, reps, orbit, self.weights, self.spins,
-                      self.occupations):
+        for array in (orbit, self.weights, self.spins, self.occupations):
             array.flags.writeable = False
 
     def __len__(self):
-        return len(self.representatives)
+        return len(self.weights)
 
     @property
     def dimension(self):
-        return len(self.representatives)
+        return len(self.weights)
 
     def indices(self, spins, occupations):
         """Orbits of in-sector states given as (K, N) spin and occupation rows."""

@@ -9,11 +9,12 @@ estimates a loss of orthogonality above min(step budget, sqrt(eps))),
 and works in the arithmetic of its start vector: the real initial state
 gets a real basis, one real sparse product per matvec, and a complex
 matvec is two contiguous real products.  A real step whose whole window
-is predicted to fit its buffer reads it all off one basis.  On a sector
-of at most SPAN_DIMENSION states, evolve's buffer has D + 1 rows: the
-first step then grows until breakdown, where T's eigendecomposition is
-exact on the initial state's cyclic subspace, and reads every sample off
-that one basis.  Only observables are kept.
+is predicted to fit its buffer reads it all off one basis.  Every step
+holds at most the bytes of MAX_KRYLOV_DIM complex rows, except on a
+sector of at most SPAN_DIMENSION states, where the buffer has D + 1
+rows: the first step then grows until breakdown, where T's
+eigendecomposition is exact on the initial state's cyclic subspace, and
+reads every sample off that one basis.  Only observables are kept.
 A constant shift of H changes neither the Krylov space nor the error
 estimate, only a phase no observable sees: propagate_krylov
 exponentiates the matrix it is given.
@@ -28,16 +29,21 @@ from .fock_basis import MirrorEvenBasis
 
 # Largest Krylov subspace of one Lanczos step, in complex rows; a real
 # basis holds twice the rows in the same bytes.  A step that does not
-# reach its first sample within it is halved.
-MAX_KRYLOV_DIM = 40
+# reach its first sample within it is halved.  46 keeps the real basis at
+# the 92 rows sector8x8 was measured with, 2 x 40 + N + 4 at N = 8 (room
+# once kept for a (D, N) sign table and two copies of the initial state,
+# which evolve no longer holds): its window is read off one real basis of
+# 81 rows, and no shipped complex step uses more than 30.
+MAX_KRYLOV_DIM = 46
 # A Lanczos iteration computes its exact error estimate only when the
 # estimate's leading Taylor term is within this factor of the budget.
 SCREEN_FACTOR = 10.0
-# Largest sector whose evolution spans the initial state's cyclic subspace
-# with one real Lanczos basis of D + 1 rows, (D + 1) D 8 bytes: 2.9 MB at
-# D = 600.  Measured crossover, evolve best of 3 on fig4f's parameters cut
-# to N ions (201 samples over 1 ms), spanning against stepping, 2 vCPUs,
-# OpenBLAS 0.3.31 with OPENBLAS_NUM_THREADS unset (2 threads):
+# Largest state whose Krylov buffer propagate_krylov sizes to D + 1 rows,
+# so that one real Lanczos basis spans its cyclic subspace, (D + 1) D 8
+# bytes: 2.9 MB at D = 600.  Measured crossover, evolve best of 3 on
+# fig4f's parameters cut to N ions (201 samples over 1 ms), spanning
+# against stepping, 2 vCPUs, OpenBLAS 0.3.31 with OPENBLAS_NUM_THREADS
+# unset (2 threads):
 #   D = 98: 0.02 / 0.24 s, 200: 0.04 / 0.26 s, 392: 0.11 / 0.32 s,
 #   578: 0.27 / 0.37 s, 800: 0.47 / 0.44 s.
 # With one BLAS thread the ratios move by at most 0.23 (1.33 at D = 800).
@@ -110,32 +116,33 @@ def prepare_initial_state(basis, excited_ions):
     return v
 
 
-def _lanczos_step(matvec, v, dts, budgets, V, reach=None):
+def _lanczos_step(matvec, v, dts, budgets, V):
     """Lanczos exp(-i dt H) v at several dt off one semi-orthogonal basis.
 
     dts are the step's sample offsets, of one sign and increasing in
     magnitude, and budgets their error budgets.  V, of v's dtype, is the
     array the basis is written into, so that a caller allocates it once;
-    its rows bound the step, and the first sample must pass within reach
-    rows (all of V by default).  Returns (coords, err): coords[j] holds
-    the coordinates in V of the state at dts[j] (see _from_basis) for
-    each leading sample whose estimate passed, and err is the last one's
-    estimate; or (None, best estimate) if the first sample did not pass.
+    its shape and dtype are the step's only size limits, and the first
+    sample must pass within its rows.  Returns (coords, err): coords[j]
+    holds the coordinates in V of the state at dts[j] (see _from_basis)
+    for each leading sample whose estimate passed, and err is the last
+    one's estimate; or (None, best estimate) if the first sample did not
+    pass.
 
     A V with more rows than v has entries spans v's cyclic subspace: the
-    step ignores reach and grows until breakdown, or to V's last row, and
-    makes its one check there, with no screen.  In exact arithmetic
-    Lanczos breaks down within len(v) iterations, and T's
-    eigendecomposition is then exact on the cyclic subspace (Parlett,
-    The Symmetric Eigenvalue Problem, SIAM 1998, ch. 13), so the estimate
-    is 0 and every sample is read off that one eigendecomposition.  The
-    rest of this docstring is about a V of at most len(v) rows.
+    step grows until breakdown, or to V's last row, and makes its one
+    check there, with no screen.  In exact arithmetic Lanczos breaks down
+    within len(v) iterations, and T's eigendecomposition is then exact on
+    the cyclic subspace (Parlett, The Symmetric Eigenvalue Problem, SIAM
+    1998, ch. 13), so the estimate is 0 and every sample is read off that
+    one eigendecomposition.  The rest of this docstring is about a V of at
+    most len(v) rows.
 
     Dense output: at each check, T's eigendecomposition is computed once
     and the next samples are read off it in turn, up to the first that
     fails its budget.  Once the first sample has passed at k1 rows, the
     basis grows only to the bytes of k1 complex rows (2 k1 real rows),
-    and not past reach, so a complex step stops at its first sample.  A
+    and not past V, so a complex step stops at its first sample.  A
     step whose window is predicted to fit grows past that, up to all of
     V, as a longer step costs fewer rows per sample (Hochbruck & Lubich,
     SINUM 1997): once n samples have passed, the last at kn rows, the
@@ -172,8 +179,7 @@ def _lanczos_step(matvec, v, dts, budgets, V, reach=None):
     threshold = min(budgets[0], math.sqrt(eps))
     complex_bytes = np.dtype(complex).itemsize
     spans = len(V) > v.size  # V can hold a basis of v's whole cyclic subspace
-    reach = len(V) if reach is None or spans else reach
-    rows = reach  # set by the memory rule once a sample passes
+    rows = len(V)  # set by the memory rule once a sample passes
     beta0 = np.linalg.norm(v)
     np.divide(v, beta0, out=V[0])
     alphas = np.empty(len(V))
@@ -226,7 +232,7 @@ def _lanczos_step(matvec, v, dts, budgets, V, reach=None):
             if coords:
                 k1, kn = len(coords[0]), len(coords[-1])
                 fits = kn > k1 and kn + (len(dts) - n) * (kn - k1) / (n - 1) <= len(V)
-                rows = len(V) if fits else min(reach, k1 * complex_bytes // V.itemsize)
+                rows = len(V) if fits else min(len(V), k1 * complex_bytes // V.itemsize)
                 lead *= (abs(dts[n]) / tau) ** k
                 tau = abs(dts[n])
         if k + 1 >= rows:
@@ -283,8 +289,7 @@ def _from_basis(V, u):
     return out
 
 
-def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
-                     real_rows=None):
+def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None):
     """Advance v0 by exp(-i H t) with adaptive Lanczos steps.
 
     t_target is one time, or the sample times as offsets from v0, of one
@@ -297,14 +302,15 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
     A refused step is halved; the next is 1.5 times the last accepted
     one, across samples.
 
-    The basis buffer holds real_rows float64 rows (2 m_max by default,
-    the bytes of m_max complex rows) and is allocated once per call.  A
-    complex step uses its first m_max complex rows.  A state whose
+    This is the one place that sizes the basis buffer, allocated once
+    per call: 2 m_max float64 rows, the bytes of m_max complex rows.  A
+    complex step uses them as m_max complex rows.  A state whose
     imaginary part is all zeros, as the initial product state's is,
     starts a real step on the whole buffer, one real product per matvec:
     its first sample must pass within 2 m_max rows, and only a window
-    predicted to fit grows past them (see _lanczos_step).  A buffer of
-    more rows than v0 has entries spans instead: its first step grows
+    predicted to fit grows past 2 k1 rows (see _lanczos_step).  A state
+    of at most SPAN_DIMENSION entries gets at least D + 1 rows, more
+    than it has entries, so its first real step spans instead: it grows
     until breakdown and reads every sample off one basis.  v0 is read,
     never written, and is not copied when it is complex.
 
@@ -333,7 +339,8 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
         return out
 
     v = np.asarray(v0, dtype=complex)
-    krylov_buffer = np.empty((max(real_rows or 0, 2 * m_max), v.size))
+    span_rows = v.size + 1 if v.size <= SPAN_DIMENSION else 0
+    krylov_buffer = np.empty((max(span_rows, 2 * m_max), v.size))
     complex_basis = krylov_buffer[: 2 * m_max].reshape(-1).view(complex).reshape(m_max, -1)
     t = 0.0
     j = 0  # next sample
@@ -349,11 +356,11 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
         sub_step = dt < taus[j] - t  # part of the way to the next sample
         dts = np.array([dt]) if sub_step else taus[j:] - t
         if np.any(v.imag):
-            start, basis, reach = v, complex_basis, m_max
+            start, basis = v, complex_basis
         else:
-            start, basis, reach = v.real, krylov_buffer, 2 * m_max
+            start, basis = v.real, krylov_buffer
         coords, err = _lanczos_step(matvec, start, direction * dts,
-                                    tol * dts / time_scale, basis, reach)
+                                    tol * dts / time_scale, basis)
         if coords is None:
             dt = 0.5 * dts[0]
             if dt < min_dt:
@@ -375,33 +382,17 @@ def propagate_krylov(h, v0, t_target, tol, m_max, time_scale=None, observe=None,
         dt = 1.5 * dts[len(coords) - 1]  # gentle growth, kept across samples
 
 
-def _real_rows(basis):
-    """Rows of the real Krylov buffer evolve allocates on basis.
-
-    A sector of at most SPAN_DIMENSION states gets D + 1 rows, which
-    span the initial state's cyclic subspace.  A larger one gets the
-    bytes of MAX_KRYLOV_DIM complex rows plus those of what evolve does
-    not hold beside its basis: a float64 (D, N) sign table (N rows) and
-    two copies of the initial state (4 rows).  So its worst case is that
-    of a complex basis with those beside it, and only a real step whose
-    window is predicted to fit uses the rows past 2 MAX_KRYLOV_DIM.
-    """
-    if basis.dimension <= SPAN_DIMENSION:
-        return basis.dimension + 1
-    return 2 * MAX_KRYLOV_DIM + 4 + basis.n_ions
-
-
 def evolve(h, req, basis):
     """Sample per-ion <sigma_z> on a uniform grid under the Hamiltonian.
 
-    All samples come from one propagate_krylov call, which hands each
-    state to the observables as it is formed.  A sector of at most
-    SPAN_DIMENSION states gets a real buffer of D + 1 rows, so the first
-    Lanczos step spans the initial state's cyclic subspace and, at
-    breakdown, reads every sample off that one basis exactly.  A larger
-    sector is stepped through its samples.  basis is a SectorBasis or a
-    MirrorEvenBasis; on the latter, h must be built on it and the initial
-    state must be even.  Returns a TimeSeries.
+    All samples come from one propagate_krylov call, with steps of at
+    most MAX_KRYLOV_DIM complex rows, which hands each state to the
+    observables as it is formed.  On a sector of at most SPAN_DIMENSION
+    states the first Lanczos step spans the initial state's cyclic
+    subspace and, at breakdown, reads every sample off that one basis
+    exactly.  A larger sector is stepped through its samples.  basis is
+    a SectorBasis or a MirrorEvenBasis; on the latter, h must be built
+    on it and the initial state must be even.  Returns a TimeSeries.
     """
     v0 = prepare_initial_state(basis, req.excited_ions)
     times = np.linspace(0.0, req.total_time, req.samples)
@@ -434,7 +425,6 @@ def evolve(h, req, basis):
         exc_drift[k] = abs(float(probs @ totals) - m)
 
     propagate_krylov(h, v0, times, req.krylov_tol, MAX_KRYLOV_DIM,
-                     time_scale=req.total_time, observe=observe,
-                     real_rows=_real_rows(basis))
+                     time_scale=req.total_time, observe=observe)
     return TimeSeries(times=times, sigma_z=sz, norm_drift=norm_drift,
                       excitation_drift=exc_drift)

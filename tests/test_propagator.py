@@ -1,3 +1,4 @@
+import os
 import types
 
 import numpy as np
@@ -26,7 +27,14 @@ from jchsim.propagator import (
     propagate_krylov,
 )
 
-from conftest import dense_sigma_z, dense_states, sampled_states, scipy_csr
+from conftest import (
+    CONFIG_DIR,
+    dense_sigma_z,
+    dense_states,
+    record_lanczos_steps,
+    sampled_states,
+    scipy_csr,
+)
 
 
 def single_site(g, delta, omega):
@@ -368,9 +376,9 @@ class TestLanczosStep:
                 plain.append(w / beta)
             assert max_overlap(np.array(plain)) > threshold
 
-    # every size up to 3 * MAX_KRYLOV_DIM, past the rows of the real basis
-    # of evolve on a stepped sector (2 MAX_KRYLOV_DIM + N + 4) up to N = 36
-    # ions, and the most rows of a spanning basis, SPAN_DIMENSION + 1
+    # every size up to 3 * MAX_KRYLOV_DIM, past the 2 MAX_KRYLOV_DIM rows
+    # of the real basis on a stepped sector, and the most rows of a
+    # spanning basis, SPAN_DIMENSION + 1
     @pytest.mark.parametrize("size", [*range(1, 3 * MAX_KRYLOV_DIM + 1),
                                       SPAN_DIMENSION + 1])
     def test_tridiag_expm_col_matches_expm(self, size):
@@ -410,18 +418,27 @@ class TestDenseOutput:
             exact = expm_multiply(-1j * dt * scipy_csr(h.matrix), v)
             assert np.linalg.norm(_from_basis(V, u) - exact) <= budget
 
-    def test_every_sample_of_one_call_within_its_share(self):
+    def test_every_sample_of_one_call_within_its_share(self, monkeypatch):
+        # The N = M = 5 full sector (D = 1,002, above SPAN_DIMENSION) over
+        # ten samples at the Fig. 2b window's 6 us spacing: the real first
+        # step reads several samples, and complex steps read the rest.
         from scipy.sparse.linalg import expm_multiply
 
-        basis, h = band_edge_model()
-        v0 = prepare_initial_state(basis, [1, 2, 3, 4])
-        times = np.concatenate([[0.0], self.DTS])
+        basis = enumerate_sector(5, 5)
+        assert basis.dimension > SPAN_DIMENSION
+        h = build_hamiltonian(
+            symmetric_chain(TestAccuracyLadder.SPACINGS[5], 2.756), basis)
+        v0 = prepare_initial_state(basis, range(1, 6))
+        dts = 6e-6 * np.arange(1, 11)
+        times = np.concatenate([[0.0], dts])
         got = []
+        log = record_lanczos_steps(monkeypatch)
         last = propagate_krylov(h, v0, times, self.TOL, MAX_KRYLOV_DIM,
                                 observe=lambda j, v: got.append((j, v.copy())))
+        assert 1 < len(log) < len(dts)
         assert [j for j, _ in got] == list(range(len(times)))
         assert np.array_equal(got[0][1], v0) and np.array_equal(got[-1][1], last)
-        for (_, v), t in zip(got[1:], self.DTS):
+        for (_, v), t in zip(got[1:], dts):
             exact = expm_multiply(-1j * t * scipy_csr(h.matrix), v0)
             assert np.linalg.norm(v - exact) <= self.TOL * t / times[-1]
 
@@ -476,14 +493,6 @@ class TestDenseOutput:
         assert len(calls) == 2 * k1 < len(V)
         assert 1 < len(coords) < len(self.DTS)
         assert np.isnan(V[len(calls):]).all()
-
-    def test_first_sample_must_pass_within_reach(self):
-        v, matvec, k1 = self.start_and_k1()
-        V = np.empty((2 * MAX_KRYLOV_DIM, v.size))
-        counted, calls = counting(matvec)
-        coords, err = _lanczos_step(counted, v, self.DTS, self.BUDGETS, V, k1 - 1)
-        assert coords is None and err > self.BUDGETS[0]
-        assert len(calls) == k1 - 1
 
 
 class TestSpanningBuffer:
@@ -541,6 +550,59 @@ class TestSpanningBuffer:
         coords, _ = _lanczos_step(counted, v, TestDenseOutput.DTS,
                                   TestDenseOutput.BUDGETS, np.empty((rows, v.size)))
         assert (len(calls), len(coords)) == (matvecs, samples)
+
+
+class TestKrylovBudget:
+    """propagate_krylov sizes every step's buffer from m_max and D alone.
+
+    A wrapper on _lanczos_step records each step's buffer rows, dtype and
+    matvecs: a stepped sector gets 2 MAX_KRYLOV_DIM real rows and
+    MAX_KRYLOV_DIM complex ones, the same bytes, whatever N is; a sector
+    of at most SPAN_DIMENSION states gets enough rows to span it.
+    """
+
+    @staticmethod
+    def record_buffers(monkeypatch):
+        """Log (rows, dtype, matvecs) for every Lanczos step."""
+        log = []
+        step = propagator._lanczos_step
+
+        def logged(matvec, v, dts, budgets, V):
+            counted, calls = counting(matvec)
+            result = step(counted, v, dts, budgets, V)
+            log.append((len(V), V.dtype, len(calls)))
+            return result
+
+        monkeypatch.setattr(propagator, "_lanczos_step", logged)
+        return log
+
+    @pytest.mark.parametrize("name,matvecs", [("fig4d", 3743), ("fig4f", 4198)])
+    def test_stepped_configs(self, name, matvecs, tmp_path, monkeypatch):
+        from jchsim.cli import main
+
+        log = self.record_buffers(monkeypatch)
+        cfg = os.path.join(CONFIG_DIR, f"{name}.cfg")
+        assert main(["simulate", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+        # fig4d evolves N = 20 ions, fig4f N = 32: the buffer does not grow
+        # with N, and the real first step is followed by complex ones.
+        assert {(rows, dtype) for rows, dtype, _ in log} == {
+            (2 * MAX_KRYLOV_DIM, np.dtype(float)),
+            (MAX_KRYLOV_DIM, np.dtype(complex)),
+        }
+        assert log[0][1] == np.dtype(float)
+        assert sum(calls for _, _, calls in log) <= matvecs
+
+    @pytest.mark.parametrize("model", [fig2a_model, band_edge_model])
+    def test_spanned_sector_gets_one_step(self, model, monkeypatch):
+        basis, h = model()
+        assert basis.dimension <= SPAN_DIMENSION
+        log = self.record_buffers(monkeypatch)
+        req = EvolutionRequest(total_time=1e-3, samples=101,
+                               excited_ions=range(1, basis.n_ions + 1))
+        evolve(h, req, basis)
+        rows = max(basis.dimension + 1, 2 * MAX_KRYLOV_DIM)
+        assert [(r, dtype) for r, dtype, _ in log] == [(rows, np.dtype(float))]
+        assert log[0][2] <= basis.dimension + 1
 
 
 def symmetric_chain(spacings_um, top_mode_mhz, delta_khz=-60.0):
@@ -627,6 +689,9 @@ class TestAccuracyLadder:
     the Fig. 2b parameters, all ions excited, krylov_tol = 1e-9: the full
     sectors N = M = 5 and 6, the mirror-even sectors N = M = 7 and 8, and
     a band-edge 4-ion step that accepts after more than 30 iterations.
+    The band-edge sector (D = 192) lies below SPAN_DIMENSION, where
+    propagate_krylov would span it, so its step is measured on one
+    _lanczos_step with a stepping buffer of 2 MAX_KRYLOV_DIM real rows.
     """
 
     TOL = 1e-9
@@ -640,13 +705,11 @@ class TestAccuracyLadder:
     }
 
     @staticmethod
-    def realized_error(basis, h, t):
+    def realized_error(h, v0, t, got):
+        """||got - exp(-i t H) v0||, the reference by expm_multiply."""
         from scipy.sparse.linalg import expm_multiply
 
-        v0 = prepare_initial_state(basis, range(1, basis.n_ions + 1))
-        got = propagate_krylov(h, v0, t, TestAccuracyLadder.TOL, MAX_KRYLOV_DIM)
-        exact = expm_multiply(-1j * t * scipy_csr(h.matrix), v0)
-        return np.linalg.norm(got - exact)
+        return np.linalg.norm(got - expm_multiply(-1j * t * scipy_csr(h.matrix), v0))
 
     @pytest.mark.parametrize("n,even,dimension", [
         (5, False, 1002), (6, False, 5336), (7, True, 14470), (8, True, 78688),
@@ -655,7 +718,9 @@ class TestAccuracyLadder:
         basis = enumerate_sector(n, n, mirror_even=even)
         assert basis.dimension == dimension
         h = build_hamiltonian(symmetric_chain(self.SPACINGS[n], 2.756), basis)
-        err = self.realized_error(basis, h, 6e-6)
+        v0 = prepare_initial_state(basis, range(1, n + 1))
+        got = propagate_krylov(h, v0, 6e-6, self.TOL, MAX_KRYLOV_DIM)
+        err = self.realized_error(h, v0, 6e-6, got)
         assert err <= self.TOL, f"D = {dimension}: realized error {err:.3e}"
 
     def test_band_edge_long_step(self):
@@ -665,7 +730,9 @@ class TestAccuracyLadder:
             counted, calls = counting(plain_matvec(h))
             lanczos_step(counted, v, 3e-5, self.TOL, MAX_KRYLOV_DIM)
             assert len(calls) > 30
-        err = self.realized_error(basis, h, 3e-5)
+        got, _ = lanczos_step(plain_matvec(h), starts(v0)[0], 3e-5, self.TOL,
+                              2 * MAX_KRYLOV_DIM)
+        err = self.realized_error(h, v0, 3e-5, got)
         assert err <= self.TOL, f"band edge: realized error {err:.3e}"
 
 
